@@ -33,14 +33,13 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/csv"
-	"encoding/gob"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"os/signal"
 	"strconv"
@@ -474,45 +473,27 @@ func parseMethod(s string) (core.Method, error) {
 	return 0, fmt.Errorf("unknown method %q", s)
 }
 
-// artifact is the legacy -savemodel container: a gob wrapper bundling a
-// model with the training normalization. Since wire version 2 the model file
-// itself carries the stats (core.Model.Norm), so saveArtifact writes a plain
-// .smfl file; loadArtifact still reads both formats.
-type artifact struct {
-	Model      []byte
-	Mins, Maxs []float64
-}
-
 func saveArtifact(path string, model *core.Model, nz *dataset.Normalizer) error {
 	model.Norm = &core.Norm{Mins: nz.Mins, Maxs: nz.Maxs}
 	return model.SaveFile(path)
 }
 
+// loadArtifact reads a model written by saveArtifact together with the
+// training normalization it carries. A file that opens but does not load is
+// most likely from an older smfl, so that error carries a re-save hint.
 func loadArtifact(path string) (*core.Model, *dataset.Normalizer, error) {
-	raw, err := os.ReadFile(path)
+	model, err := core.LoadFile(path)
+	var perr *fs.PathError
+	if errors.As(err, &perr) {
+		return nil, nil, err
+	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("load model %s: %w (re-save it with smfl impute -savemodel)", path, err)
 	}
-	if model, err := core.Load(bytes.NewReader(raw)); err == nil {
-		if model.Norm == nil {
-			return nil, nil, errors.New("model file carries no normalization stats; refit with a current smfl -savemodel")
-		}
-		nz, err := dataset.NewNormalizer(model.Norm.Mins, model.Norm.Maxs)
-		if err != nil {
-			return nil, nil, err
-		}
-		return model, nz, nil
+	if model.Norm == nil {
+		return nil, nil, errors.New("model file carries no normalization stats; refit with a current smfl -savemodel")
 	}
-	// Legacy wrapper written before wire version 2.
-	var a artifact
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&a); err != nil {
-		return nil, nil, err
-	}
-	model, err := core.Load(bytes.NewReader(a.Model))
-	if err != nil {
-		return nil, nil, err
-	}
-	nz, err := dataset.NewNormalizer(a.Mins, a.Maxs)
+	nz, err := dataset.NewNormalizer(model.Norm.Mins, model.Norm.Maxs)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,8 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -187,12 +187,12 @@ func TestSaveModelIsLoadableByCore(t *testing.T) {
 	}
 }
 
-// TestLoadArtifactLegacyFormat asserts artifacts written by the pre-wire-v2
-// CLI (gob wrapper bundling model bytes with normalization slices) still
-// feed the foldin subcommand.
-func TestLoadArtifactLegacyFormat(t *testing.T) {
+// TestRunFoldinRejectsInvalidModel: a model file that core.Load refuses
+// (here, a non-finite factor) must fail foldin with core.Load's reason and
+// a hint to re-save, not fall through to some other decoder's error.
+func TestRunFoldinRejectsInvalidModel(t *testing.T) {
 	res, err := dataset.Generate(dataset.Spec{
-		Name: "legacy", N: 100, M: 5, L: 2,
+		Name: "bad", N: 100, M: 5, L: 2,
 		Latents: 2, Bumps: 3, Clusters: 3, Seed: 71,
 	})
 	if err != nil {
@@ -206,26 +206,20 @@ func TestLoadArtifactLegacyFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var modelBuf bytes.Buffer
-	if err := model.Save(&modelBuf); err != nil {
+	model.U.Set(0, 0, math.NaN())
+	path := filepath.Join(t.TempDir(), "bad.smfl")
+	if err := saveArtifact(path, model, nz); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "legacy.smfl")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	var stdout, stderr bytes.Buffer
+	err = run(context.Background(), []string{"foldin", "-model", path, "-in", writeTempCSV(t, true)}, &stdout, &stderr)
+	if err == nil {
+		t.Fatal("foldin accepted a model with a non-finite factor")
 	}
-	legacy := artifact{Model: modelBuf.Bytes(), Mins: nz.Mins, Maxs: nz.Maxs}
-	if err := gob.NewEncoder(f).Encode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	got, gotNz, err := loadArtifact(path)
-	if err != nil {
-		t.Fatalf("legacy artifact no longer loads: %v", err)
-	}
-	if got.Config.K != 3 || len(gotNz.Mins) != 5 {
-		t.Fatalf("legacy artifact corrupted: K=%d mins=%v", got.Config.K, gotNz.Mins)
+	for _, want := range []string{"core: load: factors have non-finite entries", "smfl impute -savemodel"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("foldin error %q does not mention %q", err, want)
+		}
 	}
 }
 

@@ -11,9 +11,7 @@ import (
 	"math"
 	"os"
 
-	"github.com/spatialmf/smfl/internal/landmark"
 	"github.com/spatialmf/smfl/internal/mat"
-	"github.com/spatialmf/smfl/internal/spatial"
 )
 
 // Checkpoint format: a gob container wrapping the standard .smfl model
@@ -198,6 +196,15 @@ type ResumeOptions struct {
 // checkpoint. A checkpoint of a converged (or iteration-capped) run returns
 // immediately unless opts raises MaxIter.
 func ResumeFit(path string, x *mat.Dense, omega *mat.Mask, opts *ResumeOptions) (*Model, error) {
+	return resume(path, &input{x: x, omega: omega}, opts)
+}
+
+// resume continues the checkpointed fit at path over in, for ResumeFit and
+// ResumeFitSource alike. A dense input arrives holding only x and omega (nil
+// meaning fully observed): resume checks x against the checkpoint before it
+// checks the mask and binds src, which keeps ResumeFit's error order, and
+// binds rx only once the run is known to continue.
+func resume(path string, in *input, opts *ResumeOptions) (*Model, error) {
 	ck, err := LoadCheckpoint(path)
 	if err != nil {
 		return nil, err
@@ -205,40 +212,48 @@ func ResumeFit(path string, x *mat.Dense, omega *mat.Mask, opts *ResumeOptions) 
 	model := ck.Model
 	cfg := resumeConfig(model, path, opts)
 
-	n, m := x.Dims()
+	dense := in.x != nil
+	n, m, what := 0, 0, "data"
+	if dense {
+		n, m = in.x.Dims()
+	} else {
+		if !cfg.Updater.Stochastic() {
+			return nil, fmt.Errorf("core: checkpoint %s was written by a %s fit; source-backed resume supports sgd/svrg only", path, cfg.Updater)
+		}
+		n, m = in.src.Dims()
+		what = "source"
+	}
 	if un, _ := model.U.Dims(); un != n {
-		return nil, fmt.Errorf("core: resume: checkpoint has %d rows, data has %d", un, n)
+		return nil, fmt.Errorf("core: resume: checkpoint has %d rows, %s has %d", un, what, n)
 	}
 	if _, vm := model.V.Dims(); vm != m {
-		return nil, fmt.Errorf("core: resume: checkpoint has %d columns, data has %d", vm, m)
+		return nil, fmt.Errorf("core: resume: checkpoint has %d columns, %s has %d", vm, what, m)
 	}
-	if omega == nil {
-		omega = mat.FullMask(n, m)
+	if dense {
+		if in.omega == nil {
+			in.omega = mat.FullMask(n, m)
+		}
+		if or, oc := in.omega.Dims(); or != n || oc != m {
+			return nil, fmt.Errorf("core: resume: mask shape %dx%d vs data %dx%d", or, oc, n, m)
+		}
+		in.src = mat.NewDenseSource(in.x, in.omega)
 	}
-	if or, oc := omega.Dims(); or != n || oc != m {
-		return nil, fmt.Errorf("core: resume: mask shape %dx%d vs data %dx%d", or, oc, n, m)
-	}
-	if h := fitHash(x, omega, model.Method, model.L, cfg); h != ck.Hash {
-		return nil, fmt.Errorf("core: checkpoint %s was written for different data, weights or configuration", path)
+	if h := fitHash(in, model.Method, model.L, cfg); h != ck.Hash {
+		return nil, fmt.Errorf("core: checkpoint %s was written for different data, weights or configuration, or by a fit on the other storage backend", path)
 	}
 
 	model.Partial = false
 	if model.Converged || model.Iters >= cfg.MaxIter {
 		return model, nil
 	}
-
-	rx := omega.Project(nil, x)
-	var graph *spatial.Graph
-	var ix *landmark.Index
-	if model.Method != NMF {
-		si := siFilled(x, omega, model.L)
-		if graph, ix, err = buildSpatial(si, model.Method, cfg); err != nil {
-			return nil, err
-		}
+	if dense {
+		in.rx = in.omega.Project(nil, in.x)
 	}
-	tr := resumedTrainer(ck, model.Method, cfg)
-	tr.begin(model)
-	return runFit(model, tr, x, rx, omega, graph, ix)
+	_, graph, ix, err := buildSpatial(in.src, model.L, model.Method, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return train(model, resumedTrainer(ck, model.Method, cfg), in, graph, ix)
 }
 
 // resumeConfig overlays the runtime-only ResumeOptions onto the
@@ -279,12 +294,16 @@ func resumedTrainer(ck *Checkpoint, method Method, cfg Config) *trainer {
 	return tr
 }
 
-// fitHash binds a checkpoint to its training run: FNV-1a over the data
-// matrix, the observation mask, the confidence weights, and every
-// configuration field that shapes the optimization trajectory. Runtime-only
-// fields (Ctx, checkpoint/watchdog knobs) and MaxIter (legitimately raised on
-// resume) are excluded.
-func fitHash(x *mat.Dense, omega *mat.Mask, method Method, l int, cfg Config) uint64 {
+// fitHash binds a checkpoint to its training run: FNV-1a over the training
+// input and every configuration field that shapes the optimization
+// trajectory. A dense input contributes its data matrix, observation mask
+// and confidence weights. A source-backed input contributes the source's
+// ContentHash instead (streaming the full data would defeat out-of-core
+// operation) behind a leading "SMFL-SRC" marker that keeps the two streams
+// disjoint, so a checkpoint is never resumed against the wrong storage
+// backend by accident. Runtime-only fields (Ctx, checkpoint/watchdog knobs)
+// and MaxIter (legitimately raised on resume) are excluded.
+func fitHash(in *input, method Method, l int, cfg Config) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	w64 := func(v uint64) {
@@ -294,31 +313,30 @@ func fitHash(x *mat.Dense, omega *mat.Mask, method Method, l int, cfg Config) ui
 	wf := func(v float64) { w64(math.Float64bits(v)) }
 	wi := func(v int64) { w64(uint64(v)) }
 
+	if in.x == nil {
+		h.Write([]byte("SMFL-SRC"))
+	}
 	wi(int64(method))
 	wi(int64(l))
-	n, m := x.Dims()
+	n, m := in.src.Dims()
 	wi(int64(n))
 	wi(int64(m))
-	for _, v := range x.Data() {
-		wf(v)
-	}
-	if b, err := omega.MarshalBinary(); err == nil {
-		h.Write(b)
-	}
-	if cfg.Weights != nil {
-		wi(1)
-		for _, v := range cfg.Weights.Data() {
+	if in.x == nil {
+		w64(in.src.(DataSource).ContentHash())
+	} else {
+		for _, v := range in.x.Data() {
 			wf(v)
 		}
+		if b, err := in.omega.MarshalBinary(); err == nil {
+			h.Write(b)
+		}
+		if cfg.Weights != nil {
+			wi(1)
+			for _, v := range cfg.Weights.Data() {
+				wf(v)
+			}
+		}
 	}
-	hashTrajectoryConfig(wi, wf, cfg)
-	return h.Sum64()
-}
-
-// hashTrajectoryConfig feeds every Config field that shapes the optimization
-// trajectory into a hash, in a fixed order shared by the dense fitHash and
-// the store-backed sourceFitHash (so the two stay in sync by construction).
-func hashTrajectoryConfig(wi func(int64), wf func(float64), cfg Config) {
 	wi(int64(cfg.K))
 	wf(cfg.Lambda)
 	wi(int64(cfg.P))
@@ -334,4 +352,5 @@ func hashTrajectoryConfig(wi func(int64), wf func(float64), cfg Config) {
 	wi(int64(cfg.LandmarkSource))
 	wi(int64(cfg.GraphMode))
 	wi(int64(cfg.SpatialIndex))
+	return h.Sum64()
 }

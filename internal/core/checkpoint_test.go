@@ -317,3 +317,55 @@ func TestResumeFinishedRunReturnsImmediately(t *testing.T) {
 		t.Fatalf("raised MaxIter did not extend the run (%d iters)", longer.Iters)
 	}
 }
+
+// fixedSource is a DataSource over resident data with a chosen content
+// hash, so the source fitHash stream can be pinned independently of the
+// shard store's own hashing.
+type fixedSource struct {
+	*mat.DenseSource
+	content uint64
+}
+
+func (s fixedSource) ContentHash() uint64 { return s.content }
+
+// TestFitHashPinned pins both fitHash byte streams to fixed values. A
+// checkpoint stores the hash and resume recomputes it, so any change to
+// either stream (field order, marker, encoding) strands every checkpoint
+// written before it — this test makes such a change deliberate.
+func TestFitHashPinned(t *testing.T) {
+	x := mat.NewDense(5, 4)
+	w := mat.NewDense(5, 4)
+	for i := 0; i < 5; i++ {
+		for j := 0; j < 4; j++ {
+			x.Set(i, j, float64(i*4+j+1)/20)
+			w.Set(i, j, 1+float64((i+j)%3)/2)
+		}
+	}
+	omega := mat.FullMask(5, 4)
+	omega.Hide(1, 2)
+	omega.Hide(3, 0)
+	omega.Hide(4, 3)
+	cfg := Config{K: 3, Lambda: 0.2, P: 2, Seed: 7}.withDefaults()
+	weighted := cfg
+	weighted.Weights = w
+	stochastic := cfg
+	stochastic.Updater = SGD
+
+	dense := &input{src: mat.NewDenseSource(x, omega), x: x, omega: omega}
+	source := &input{src: fixedSource{mat.NewDenseSource(x, omega), 0x0123456789abcdef}}
+	for _, tc := range []struct {
+		name string
+		in   *input
+		cfg  Config
+		want uint64
+	}{
+		{"dense", dense, cfg, 0xf00d6d28d83e116a},
+		{"dense weighted", dense, weighted, 0x748b8762feed645f},
+		{"dense sgd", dense, stochastic, 0x6c9df6c4f4b400e8},
+		{"source sgd", source, stochastic, 0xfefb95dbd86293c8},
+	} {
+		if got := fitHash(tc.in, SMFL, 2, tc.cfg); got != tc.want {
+			t.Errorf("%s: fitHash = %#016x, want %#016x", tc.name, got, tc.want)
+		}
+	}
+}

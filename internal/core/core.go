@@ -324,6 +324,9 @@ func (c Config) validate(n, m, l int, method Method) error {
 	if c.P < 1 {
 		return errors.New("core: P must be at least 1")
 	}
+	if l < 0 || l > m {
+		return fmt.Errorf("core: SI width %d outside [0, %d]", l, m)
+	}
 	if method != NMF && l < 1 {
 		return errors.New("core: spatial methods need at least one SI column")
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"github.com/spatialmf/smfl/internal/landmark"
@@ -50,31 +49,39 @@ func Fit(x *mat.Dense, omega *mat.Mask, l int, method Method, cfg Config) (*Mode
 			return nil, errors.New("core: weights must be finite and nonnegative")
 		}
 	}
+	return fit(&input{src: mat.NewDenseSource(x, omega), x: x, rx: rx, omega: omega}, l, method, cfg)
+}
 
-	// Spatial structure (SMF and SMFL only).
-	var graph *spatial.Graph
-	var ix *landmark.Index
-	var si *mat.Dense
-	if method != NMF {
-		si = siFilled(x, omega, l)
-		var err error
-		graph, ix, err = buildSpatial(si, method, cfg)
-		if err != nil {
-			return nil, err
-		}
+// input is the training data of one fit. Every fit reads X and Ω through
+// src. Dense fits also carry the resident x, R_Ω(x) and mask that the
+// full-sweep updaters, the weighted objective and the dense fitHash stream
+// need; source-backed fits leave them nil, and their src is the DataSource
+// passed to FitSource or ResumeFitSource.
+type input struct {
+	src   mat.RowSource
+	x, rx *mat.Dense
+	omega *mat.Mask
+}
+
+// fit runs Algorithm 1 on a validated input: fill SI and build the p-NN
+// graph (SMF, SMFL), derive the landmark matrix C (SMFL), inject C into V,
+// then train. Under the landmark index with the paper's K-means source, C
+// comes from weighted K-means over the index's landmark coreset (landmark
+// coordinates weighted by bucket population) instead of a second full pass
+// over N — one landmark set serves both the spatial index and the landmark
+// columns of V.
+func fit(in *input, l int, method Method, cfg Config) (*Model, error) {
+	si, graph, ix, err := buildSpatial(in.src, l, method, cfg)
+	if err != nil {
+		return nil, err
 	}
-
-	// Landmarks (SMFL only). Under the landmark index with the paper's
-	// K-means source, C comes from weighted K-means over the index's
-	// landmark coreset (landmark coordinates weighted by bucket population)
-	// instead of a second full pass over N — one landmark set serves both
-	// the spatial index and the landmark columns of V.
 	c, err := landmarksFor(si, ix, method, cfg)
 	if err != nil {
 		return nil, err
 	}
 
 	model := &Model{Method: method, Config: cfg, L: l, C: c}
+	n, m := in.src.Dims()
 	initFactors(model, n, m)
 	if c != nil {
 		injectLandmarks(model.V, c)
@@ -82,10 +89,9 @@ func Fit(x *mat.Dense, omega *mat.Mask, l int, method Method, cfg Config) (*Mode
 
 	tr := newTrainer(method, cfg)
 	if tr.ckptPath != "" {
-		tr.hash = fitHash(x, omega, method, l, cfg)
+		tr.hash = fitHash(in, method, l, cfg)
 	}
-	tr.begin(model)
-	return runFit(model, tr, x, rx, omega, graph, ix)
+	return train(model, tr, in, graph, ix)
 }
 
 // landmarksFor generates the landmark matrix C (SMFL only; nil otherwise),
@@ -100,17 +106,22 @@ func landmarksFor(si *mat.Dense, ix *landmark.Index, method Method, cfg Config) 
 	return generateLandmarks(si, cfg)
 }
 
-// buildSpatial constructs the p-NN graph over si behind the SpatialIndex
-// seam. Exact mode delegates to spatial.BuildGraph under cfg.GraphMode;
+// buildSpatial fills the SI block of src (see siFilled) and constructs the
+// p-NN graph over it behind the SpatialIndex seam; NMF needs neither and
+// gets nils. Exact mode delegates to spatial.BuildGraph under cfg.GraphMode;
 // landmark mode builds the sub-quadratic landmark-bucket index and derives
 // the graph from it. The returned index is nil in exact mode; callers use it
 // to reuse the landmark selection for C and to attach a Placer to the fitted
 // model.
-func buildSpatial(si *mat.Dense, method Method, cfg Config) (*spatial.Graph, *landmark.Index, error) {
+func buildSpatial(src mat.RowSource, l int, method Method, cfg Config) (*mat.Dense, *spatial.Graph, *landmark.Index, error) {
+	if method == NMF {
+		return nil, nil, nil, nil
+	}
+	si := siFilled(src, l)
 	switch cfg.SpatialIndex {
 	case SpatialExact:
 		g, err := spatial.BuildGraph(si, cfg.P, cfg.GraphMode)
-		return g, nil, err
+		return si, g, nil, err
 	case SpatialLandmark:
 		lcfg := landmark.Config{Seed: cfg.Seed}
 		if method == SMFL && cfg.LandmarkSource == KMeansCenters {
@@ -119,31 +130,33 @@ func buildSpatial(si *mat.Dense, method Method, cfg Config) (*spatial.Graph, *la
 		}
 		ix, err := landmark.Build(si, lcfg)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		g, err := ix.PNNGraph(cfg.P)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		return g, ix, nil
+		return si, g, ix, nil
 	}
-	return nil, nil, fmt.Errorf("core: unknown spatial index %d", cfg.SpatialIndex)
+	return nil, nil, nil, fmt.Errorf("core: unknown spatial index %d", cfg.SpatialIndex)
 }
 
-// runFit dispatches to the configured updater. On interruption, divergence
+// train runs the configured updater from the model's current position (a
+// fresh start or a restored checkpoint). On interruption, divergence
 // exhaustion, or an injected fault it returns the best-so-far model (tagged
 // Partial) together with the classified error, so a cancelled run never
 // vanishes. A successful fit run under the landmark index also captures the
 // O(L) Placer from the trained coefficients.
-func runFit(model *Model, tr *trainer, x, rx *mat.Dense, omega *mat.Mask, graph *spatial.Graph, ix *landmark.Index) (*Model, error) {
+func train(model *Model, tr *trainer, in *input, graph *spatial.Graph, ix *landmark.Index) (*Model, error) {
+	tr.begin(model)
 	var err error
 	switch model.Config.Updater {
 	case Multiplicative:
-		err = runMultiplicative(model, x, rx, omega, graph, tr)
+		err = runMultiplicative(model, in, graph, tr)
 	case GradientDescent:
-		err = runGradientDescent(model, x, rx, omega, graph, tr)
+		err = runGradientDescent(model, in, graph, tr)
 	case SGD, SVRG:
-		err = runStochastic(model, mat.NewDenseSource(x, omega), graph, tr)
+		err = runStochastic(model, in.src, graph, tr)
 	default:
 		return nil, fmt.Errorf("core: unknown updater %d", model.Config.Updater)
 	}
@@ -161,27 +174,40 @@ func runFit(model *Model, tr *trainer, x, rx *mat.Dense, omega *mat.Mask, graph 
 	return model, nil
 }
 
-// siFilled copies the SI block and replaces hidden cells with column means,
-// used only for D construction and K-means (the values themselves are still
-// imputed by the factorization, per Section II-C).
-func siFilled(x *mat.Dense, omega *mat.Mask, l int) *mat.Dense {
-	n, _ := x.Dims()
-	si := x.Slice(0, n, 0, l)
-	for j := 0; j < l; j++ {
-		var sum float64
-		var cnt int
-		for i := 0; i < n; i++ {
-			if omega.Observed(i, j) {
-				sum += si.At(i, j)
-				cnt++
+// siFilled copies the SI block (the first l columns) out of src in one
+// streaming pass and replaces hidden cells with their column's observed
+// mean, used only for D construction and K-means (the values themselves are
+// still imputed by the factorization, per Section II-C). Column sums
+// accumulate in ascending row order, so a dense input and a shard store
+// holding the same data yield bit-identical blocks — and bit-identical
+// spatial structures downstream.
+func siFilled(src mat.RowSource, l int) *mat.Dense {
+	n, _ := src.Dims()
+	si := mat.NewDense(n, l)
+	sums := make([]float64, l)
+	cnts := make([]int, l)
+	observed := make([]bool, n*l)
+	rd := src.Reader()
+	for i := 0; i < n; i++ {
+		xi, cols := rd.Row(i)
+		copy(si.Row(i), xi[:l])
+		for _, j := range cols {
+			if int(j) >= l {
+				break // cols is sorted; the SI prefix is done
 			}
+			observed[i*l+int(j)] = true
+			sums[j] += xi[j]
+			cnts[j]++
 		}
+	}
+	rd.Release()
+	for j := 0; j < l; j++ {
 		mean := 0.0
-		if cnt > 0 {
-			mean = sum / float64(cnt)
+		if cnts[j] > 0 {
+			mean = sums[j] / float64(cnts[j])
 		}
 		for i := 0; i < n; i++ {
-			if !omega.Observed(i, j) {
+			if !observed[i*l+j] {
 				si.Set(i, j, mean)
 			}
 		}
@@ -198,23 +224,20 @@ func initFactors(model *Model, n, m int) {
 	model.V = mat.RandomUniform(rng, cfg.K, m, 1e-3, 1)
 }
 
-// runMultiplicative iterates Formulas 13/14. The trainer threads in the
-// fault-tolerance concerns: cancellation at iteration boundaries, the
-// divergence watchdog (a failed health check restores the last good factors,
-// re-jitters the offender, and retries the same iteration), and periodic
-// atomic checkpoints. When resuming, model.Iters/Objective carry the restored
-// position and the loop continues from there.
-func runMultiplicative(model *Model, x, rx *mat.Dense, omega *mat.Mask, graph *spatial.Graph, tr *trainer) error {
+// runMultiplicative iterates Formulas 13/14 inside the trainer's loop, which
+// threads in cancellation, the divergence watchdog (a failed health check
+// restores the last good factors, re-jitters the offender, and retries the
+// same iteration), and periodic atomic checkpoints. When resuming,
+// model.Iters/Objective carry the restored position and the loop continues
+// from there.
+func runMultiplicative(model *Model, in *input, graph *spatial.Graph, tr *trainer) error {
 	cfg := model.Config
 	u, v := model.U, model.V
+	x, rx, omega := in.x, in.rx, in.omega
 	n, m := x.Dims()
 	k := cfg.K
 	lam := cfg.Lambda
-
-	startCol := 0
-	if model.Method == SMFL {
-		startCol = model.L // landmark columns are frozen
-	}
+	startCol := model.startCol() // landmark columns are frozen
 
 	uv := mat.NewDense(n, m)
 	numU := mat.NewDense(n, k)
@@ -237,15 +260,7 @@ func runMultiplicative(model *Model, x, rx *mat.Dense, omega *mat.Mask, graph *s
 	numUD, denUD := numU.Data(), denU.Data()
 	eps := cfg.Eps
 
-	it := model.Iters
-	for it < cfg.MaxIter {
-		if err := tr.interrupted(model); err != nil {
-			return err
-		}
-		if err := tr.fireIterFault(model, it); err != nil {
-			return err
-		}
-
+	return tr.loop(model, func() float64 {
 		// ---- U step: U ⊙ (R_Ω(X)Vᵀ + λDU) ⊘ (R_Ω(UV)Vᵀ + λWU) ----
 		omega.ProjectMul(uv, u, v)
 		if weights != nil {
@@ -283,7 +298,7 @@ func runMultiplicative(model *Model, x, rx *mat.Dense, omega *mat.Mask, graph *s
 			}
 		})
 
-		// ---- objective + early stop (fused: no third N×M matmul) ----
+		// ---- objective (fused: no third N×M matmul) ----
 		var obj float64
 		if weights != nil {
 			obj = omega.MaskedWeightedFrob2Mul(x, u, v, weights)
@@ -293,32 +308,8 @@ func runMultiplicative(model *Model, x, rx *mat.Dense, omega *mat.Mask, graph *s
 		if graph != nil && lam > 0 {
 			obj += lam * graph.QuadForm(u)
 		}
-
-		// ---- divergence watchdog: roll back and retry this iteration ----
-		if ok, reason := tr.healthy(obj, u, v); !ok {
-			if err := tr.recover(model, it, reason); err != nil {
-				return err
-			}
-			continue
-		}
-
-		prevObj := lastObj(model)
-		model.Objective = append(model.Objective, obj)
-		model.Iters = it + 1
-		tr.commit(model, obj)
-		if !math.IsInf(prevObj, 1) && math.Abs(prevObj-obj) <= cfg.Tol*math.Max(prevObj, 1e-12) {
-			model.Converged = true
-		}
-		it++
-		if err := tr.maybeCheckpoint(model, model.Converged || it == cfg.MaxIter); err != nil {
-			model.Partial = true
-			return err
-		}
-		if model.Converged {
-			break
-		}
-	}
-	return nil
+		return obj
+	}, nil, nil)
 }
 
 // atMulCols stores (aᵀb)[:, c0:] into dst[:, c0:] (columns below c0 are left
@@ -397,22 +388,19 @@ func atMulCols(dst, a, b *mat.Dense, c0 int, omega *mat.Mask) {
 }
 
 // runGradientDescent iterates the plain projected gradient scheme of
-// Section III-B1 (used by the SMF-GD ablation). The trainer threads in
-// cancellation, checkpoints, and the divergence watchdog; its stepScale
-// shrinks the learning rate on every rollback, so a diverging rate
-// self-heals instead of blowing up to Inf (Zhao et al. observe such
+// Section III-B1 (used by the SMF-GD ablation) inside the trainer's loop,
+// which threads in cancellation, checkpoints, and the divergence watchdog;
+// its stepScale shrinks the learning rate on every rollback, so a diverging
+// rate self-heals instead of blowing up to Inf (Zhao et al. observe such
 // divergence is expected behavior for stochastic MF, arXiv:1705.06884).
-func runGradientDescent(model *Model, x, rx *mat.Dense, omega *mat.Mask, graph *spatial.Graph, tr *trainer) error {
+func runGradientDescent(model *Model, in *input, graph *spatial.Graph, tr *trainer) error {
 	cfg := model.Config
 	u, v := model.U, model.V
+	x, rx, omega := in.x, in.rx, in.omega
 	n, m := x.Dims()
 	k := cfg.K
 	lam := cfg.Lambda
-
-	startCol := 0
-	if model.Method == SMFL {
-		startCol = model.L
-	}
+	startCol := model.startCol()
 
 	uv := mat.NewDense(n, m)
 	gradU := mat.NewDense(n, k)
@@ -421,14 +409,7 @@ func runGradientDescent(model *Model, x, rx *mat.Dense, omega *mat.Mask, graph *
 	gradV := mat.NewDense(k, m)
 	tmpV := mat.NewDense(k, m)
 
-	it := model.Iters
-	for it < cfg.MaxIter {
-		if err := tr.interrupted(model); err != nil {
-			return err
-		}
-		if err := tr.fireIterFault(model, it); err != nil {
-			return err
-		}
+	return tr.loop(model, func() float64 {
 		lr := cfg.LearningRate * tr.stepScale
 
 		omega.ProjectMul(uv, u, v)
@@ -467,29 +448,6 @@ func runGradientDescent(model *Model, x, rx *mat.Dense, omega *mat.Mask, graph *
 		if graph != nil && lam > 0 {
 			obj += lam * graph.QuadForm(u)
 		}
-
-		if ok, reason := tr.healthy(obj, u, v); !ok {
-			if err := tr.recover(model, it, reason); err != nil {
-				return err
-			}
-			continue
-		}
-
-		prevObj := lastObj(model)
-		model.Objective = append(model.Objective, obj)
-		model.Iters = it + 1
-		tr.commit(model, obj)
-		if !math.IsInf(prevObj, 1) && math.Abs(prevObj-obj) <= cfg.Tol*math.Max(prevObj, 1e-12) {
-			model.Converged = true
-		}
-		it++
-		if err := tr.maybeCheckpoint(model, model.Converged || it == cfg.MaxIter); err != nil {
-			model.Partial = true
-			return err
-		}
-		if model.Converged {
-			break
-		}
-	}
-	return nil
+		return obj
+	}, nil, nil)
 }

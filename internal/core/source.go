@@ -1,15 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
 
-	"github.com/spatialmf/smfl/internal/landmark"
 	"github.com/spatialmf/smfl/internal/mat"
-	"github.com/spatialmf/smfl/internal/spatial"
 )
 
 // DataSource is what a fit needs from out-of-core storage: row-wise access
@@ -19,7 +14,7 @@ import (
 type DataSource interface {
 	mat.RowSource
 	// ContentHash is a stable fingerprint of the stored data and mask.
-	// Checkpoints written by FitSource embed it (via sourceFitHash), so
+	// Checkpoints written by FitSource embed it (via fitHash), so
 	// ResumeFitSource refuses a source whose contents changed.
 	ContentHash() uint64
 }
@@ -48,35 +43,7 @@ func FitSource(src DataSource, l int, method Method, cfg Config) (*Model, error)
 	if !cfg.Updater.Stochastic() {
 		return nil, fmt.Errorf("core: source-backed fits support the stochastic updaters only (sgd, svrg), got %s — fit from memory for %s", cfg.Updater, cfg.Updater)
 	}
-
-	var graph *spatial.Graph
-	var ix *landmark.Index
-	var si *mat.Dense
-	if method != NMF {
-		si = siFilledSource(src, l)
-		var err error
-		graph, ix, err = buildSpatial(si, method, cfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-	c, err := landmarksFor(si, ix, method, cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	model := &Model{Method: method, Config: cfg, L: l, C: c}
-	initFactors(model, n, m)
-	if c != nil {
-		injectLandmarks(model.V, c)
-	}
-
-	tr := newTrainer(method, cfg)
-	if tr.ckptPath != "" {
-		tr.hash = sourceFitHash(src, method, l, cfg)
-	}
-	tr.begin(model)
-	return finishStochastic(model, tr, src, graph, ix)
+	return fit(&input{src: src}, l, method, cfg)
 }
 
 // ResumeFitSource continues a checkpointed FitSource run, with the same
@@ -84,119 +51,5 @@ func FitSource(src DataSource, l int, method Method, cfg Config) (*Model, error)
 // training source (verified against the checkpoint's source hash — a
 // checkpoint written by a dense Fit is refused, and vice versa).
 func ResumeFitSource(path string, src DataSource, opts *ResumeOptions) (*Model, error) {
-	ck, err := LoadCheckpoint(path)
-	if err != nil {
-		return nil, err
-	}
-	model := ck.Model
-	cfg := resumeConfig(model, path, opts)
-	if !cfg.Updater.Stochastic() {
-		return nil, fmt.Errorf("core: checkpoint %s was written by a %s fit; source-backed resume supports sgd/svrg only", path, cfg.Updater)
-	}
-
-	n, m := src.Dims()
-	if un, _ := model.U.Dims(); un != n {
-		return nil, fmt.Errorf("core: resume: checkpoint has %d rows, source has %d", un, n)
-	}
-	if _, vm := model.V.Dims(); vm != m {
-		return nil, fmt.Errorf("core: resume: checkpoint has %d columns, source has %d", vm, m)
-	}
-	if h := sourceFitHash(src, model.Method, model.L, cfg); h != ck.Hash {
-		return nil, fmt.Errorf("core: checkpoint %s was written for different data or configuration (or by an in-memory fit)", path)
-	}
-
-	model.Partial = false
-	if model.Converged || model.Iters >= cfg.MaxIter {
-		return model, nil
-	}
-
-	var graph *spatial.Graph
-	var ix *landmark.Index
-	if model.Method != NMF {
-		si := siFilledSource(src, model.L)
-		if graph, ix, err = buildSpatial(si, model.Method, cfg); err != nil {
-			return nil, err
-		}
-	}
-	tr := resumedTrainer(ck, model.Method, cfg)
-	tr.begin(model)
-	return finishStochastic(model, tr, src, graph, ix)
-}
-
-// finishStochastic runs the stochastic loop over src and attaches the
-// landmark placer on success — the source-backed tail of runFit.
-func finishStochastic(model *Model, tr *trainer, src mat.RowSource, graph *spatial.Graph, ix *landmark.Index) (*Model, error) {
-	if err := runStochastic(model, src, graph, tr); err != nil {
-		return model, err
-	}
-	if ix != nil {
-		if p, perr := ix.NewPlacer(model.U); perr == nil {
-			model.Placer = p
-		}
-	}
-	return model, nil
-}
-
-// siFilledSource builds the mean-filled SI block (see siFilled) from one
-// streaming pass over the source. Per-column sums accumulate in the same
-// ascending-row order as the dense path, so the resulting block — and every
-// spatial structure derived from it — is bit-identical to siFilled's.
-func siFilledSource(src mat.RowSource, l int) *mat.Dense {
-	n, _ := src.Dims()
-	si := mat.NewDense(n, l)
-	sums := make([]float64, l)
-	cnts := make([]int, l)
-	observed := make([]bool, n*l)
-	rd := src.Reader()
-	for i := 0; i < n; i++ {
-		xi, cols := rd.Row(i)
-		copy(si.Row(i), xi[:l])
-		for _, j := range cols {
-			if int(j) >= l {
-				break // cols is sorted; the SI prefix is done
-			}
-			observed[i*l+int(j)] = true
-			sums[j] += xi[j]
-			cnts[j]++
-		}
-	}
-	rd.Release()
-	for j := 0; j < l; j++ {
-		mean := 0.0
-		if cnts[j] > 0 {
-			mean = sums[j] / float64(cnts[j])
-		}
-		for i := 0; i < n; i++ {
-			if !observed[i*l+j] {
-				si.Set(i, j, mean)
-			}
-		}
-	}
-	return si
-}
-
-// sourceFitHash is fitHash for source-backed fits: instead of streaming the
-// full data matrix and mask (which would defeat out-of-core operation), it
-// folds in the source's ContentHash. The leading marker keeps the dense and
-// source hash streams disjoint, so a checkpoint can never be resumed against
-// the wrong storage backend by accident.
-func sourceFitHash(src DataSource, method Method, l int, cfg Config) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	wf := func(v float64) { w64(math.Float64bits(v)) }
-	wi := func(v int64) { w64(uint64(v)) }
-
-	h.Write([]byte("SMFL-SRC"))
-	wi(int64(method))
-	wi(int64(l))
-	n, m := src.Dims()
-	wi(int64(n))
-	wi(int64(m))
-	w64(src.ContentHash())
-	hashTrajectoryConfig(wi, wf, cfg)
-	return h.Sum64()
+	return resume(path, &input{src: src}, opts)
 }

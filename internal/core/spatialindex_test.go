@@ -215,10 +215,11 @@ func TestFoldInWarmStartHelpsReconstruction(t *testing.T) {
 
 func TestFitHashSeparatesSpatialIndex(t *testing.T) {
 	x, omega, l := testProblem(t, 90, 13)
+	in := &input{src: mat.NewDenseSource(x, omega), x: x, omega: omega}
 	cfg := quickCfg(4).withDefaults()
-	h1 := fitHash(x, omega, SMFL, l, cfg)
+	h1 := fitHash(in, SMFL, l, cfg)
 	cfg.SpatialIndex = SpatialLandmark
-	h2 := fitHash(x, omega, SMFL, l, cfg)
+	h2 := fitHash(in, SMFL, l, cfg)
 	if h1 == h2 {
 		t.Fatal("fitHash must distinguish spatial index modes: a checkpoint's graph depends on it")
 	}

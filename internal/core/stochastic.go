@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"github.com/spatialmf/smfl/internal/mat"
 	"github.com/spatialmf/smfl/internal/spatial"
 )
@@ -24,8 +22,9 @@ import (
 // age) travels in the checkpoint envelope — so fits are reproducible for a
 // fixed pool size and ResumeFit replays the uninterrupted trajectory
 // bit-for-bit. A watchdog rollback rewinds the sampler and anchor age to the
-// epoch's entry state, halves the learning rate (trainer.recover), and
-// retries the same epoch.
+// epoch's entry state (the loop's rewind hook), halves the learning rate
+// (trainer.recover), and retries the same epoch; a committed epoch records
+// them through the keep hook before the trainer commits and checkpoints.
 //
 // Storage: the loop reads X and Ω only through the mat.RowSource seam, so it
 // runs unchanged over the resident dense pair (mat.NewDenseSource) and the
@@ -59,23 +58,28 @@ func runStochastic(model *Model, src mat.RowSource, graph *spatial.Graph, tr *tr
 	}
 	total := float64(src.NumObserved())
 
-	it := model.Iters
-	for it < cfg.MaxIter {
-		if err := tr.interrupted(model); err != nil {
-			return err
+	// Epoch-entry snapshot for the watchdog's rollback path. The factors
+	// themselves are covered by the trainer's goodU/goodV; the sampler
+	// position and anchor age are ours to rewind. Anchor content needs no
+	// snapshot: a refresh below happens before any factor update, so on a
+	// retry the restored factors regenerate the identical anchor.
+	var preSample uint64
+	var preAge int
+	rewind := func() {
+		sampler.SetState(preSample)
+		tr.anchorAge = preAge
+	}
+	keep := func() {
+		tr.sample = sampler.State()
+		if svrg {
+			tr.anchorAge++
 		}
-		if err := tr.fireIterFault(model, it); err != nil {
-			return err
-		}
-		lr := cfg.LearningRate * tr.stepScale
+	}
 
-		// Epoch-entry snapshot for the watchdog's rollback path. The factors
-		// themselves are covered by the trainer's goodU/goodV; the sampler
-		// position and anchor age are ours to rewind. Anchor content needs no
-		// snapshot: a refresh below happens before any factor update, so on a
-		// retry the restored factors regenerate the identical anchor.
-		preSample := sampler.State()
-		preAge := tr.anchorAge
+	return tr.loop(model, func() float64 {
+		lr := cfg.LearningRate * tr.stepScale
+		preSample = sampler.State()
+		preAge = tr.anchorAge
 
 		if svrg && (tr.anchorU == nil || tr.anchorAge >= cfg.AnchorEvery) {
 			if tr.anchorU == nil {
@@ -120,37 +124,8 @@ func runStochastic(model *Model, src mat.RowSource, graph *spatial.Graph, tr *tr
 		if graph != nil && lam > 0 {
 			obj += lam * graph.QuadForm(u)
 		}
-
-		if ok, reason := tr.healthy(obj, u, v); !ok {
-			sampler.SetState(preSample)
-			tr.anchorAge = preAge
-			if err := tr.recover(model, it, reason); err != nil {
-				return err
-			}
-			continue
-		}
-
-		prevObj := lastObj(model)
-		model.Objective = append(model.Objective, obj)
-		model.Iters = it + 1
-		tr.sample = sampler.State()
-		if svrg {
-			tr.anchorAge++
-		}
-		tr.commit(model, obj)
-		if !math.IsInf(prevObj, 1) && math.Abs(prevObj-obj) <= cfg.Tol*math.Max(prevObj, 1e-12) {
-			model.Converged = true
-		}
-		it++
-		if err := tr.maybeCheckpoint(model, model.Converged || it == cfg.MaxIter); err != nil {
-			model.Partial = true
-			return err
-		}
-		if model.Converged {
-			break
-		}
-	}
-	return nil
+		return obj
+	}, rewind, keep)
 }
 
 // applyVStep applies one projected V update from the batch direction gb,

@@ -192,3 +192,21 @@ func TestFitSourceRejectsFullSweepUpdaters(t *testing.T) {
 		}
 	}
 }
+
+// TestFitSourceRejectsSIWidthOutOfRange: an SI width beyond the column
+// count must be refused up front for every method, not panic inside the SI
+// fill (SMF) or train a model that Load later refuses (NMF).
+func TestFitSourceRejectsSIWidthOutOfRange(t *testing.T) {
+	x, omega, _ := testProblem(t, 80, 14)
+	st := storeFor(t, x, omega)
+	_, m := st.Dims()
+	for _, tc := range []struct {
+		method Method
+		l      int
+	}{{SMF, m + 2}, {NMF, m + 5}, {NMF, -1}} {
+		cfg := stochStoreCfg(SGD)
+		if _, err := FitSource(st, tc.l, tc.method, cfg); err == nil {
+			t.Fatalf("FitSource accepted %v with SI width %d on %d columns", tc.method, tc.l, m)
+		}
+	}
+}

@@ -29,16 +29,16 @@ type PersistFault struct {
 	Path string
 }
 
-// trainer carries the fault-tolerance state threaded through the iteration
-// loops: cancellation, checkpoint cadence, and the divergence watchdog's
-// last-good snapshot. One trainer serves exactly one Fit or ResumeFit call.
+// trainer carries the fault-tolerance state of the iteration loop:
+// cancellation, checkpoint cadence, and the divergence watchdog's last-good
+// snapshot. One trainer serves exactly one fit or resume call.
 type trainer struct {
 	cfg    Config
 	method Method
 
 	ckptPath  string
 	ckptEvery int
-	hash      uint64 // fitHash of (data, mask, weights, solver config)
+	hash      uint64 // fitHash of the training input and solver config
 
 	// Watchdog state. goodU/goodV snapshot the factors after the last
 	// healthy iteration; restores CopyFrom into the live factors so the
@@ -211,6 +211,57 @@ func (tr *trainer) commit(model *Model, obj float64) {
 	tr.goodV.CopyFrom(model.V)
 	tr.goodObj = obj
 	tr.haveGood = true
+}
+
+// loop is the iteration driver every updater shares. From model.Iters up to
+// MaxIter it checks cancellation, fires the per-iteration fault point, runs
+// step (the updater's arithmetic for one iteration or epoch, returning the
+// objective), and screens the result with the divergence watchdog. A failed
+// screen calls rewind (when non-nil) to restore updater state that the
+// factor rollback does not cover, then rolls back and retries the same
+// iteration. A healthy one is appended to the history, keep (when non-nil)
+// records updater state, and the trainer commits, tests convergence and
+// checkpoints — keep runs before the commit so the checkpoint carries it.
+func (tr *trainer) loop(model *Model, step func() float64, rewind, keep func()) error {
+	cfg := tr.cfg
+	for it := model.Iters; it < cfg.MaxIter; {
+		if err := tr.interrupted(model); err != nil {
+			return err
+		}
+		if err := tr.fireIterFault(model, it); err != nil {
+			return err
+		}
+		obj := step()
+		if ok, reason := tr.healthy(obj, model.U, model.V); !ok {
+			if rewind != nil {
+				rewind()
+			}
+			if err := tr.recover(model, it, reason); err != nil {
+				return err
+			}
+			continue
+		}
+
+		prevObj := lastObj(model)
+		model.Objective = append(model.Objective, obj)
+		model.Iters = it + 1
+		if keep != nil {
+			keep()
+		}
+		tr.commit(model, obj)
+		if !math.IsInf(prevObj, 1) && math.Abs(prevObj-obj) <= cfg.Tol*math.Max(prevObj, 1e-12) {
+			model.Converged = true
+		}
+		it++
+		if err := tr.maybeCheckpoint(model, model.Converged || it == cfg.MaxIter); err != nil {
+			model.Partial = true
+			return err
+		}
+		if model.Converged {
+			break
+		}
+	}
+	return nil
 }
 
 // maybeCheckpoint writes an atomic checkpoint when one is configured and due

@@ -29,24 +29,17 @@ type BatchSampler struct {
 	cells  []int // observed cells in batch b
 }
 
-// NewBatchSampler builds a sampler over the mask's observed set targeting
-// targetCells observed cells per batch (clamped to at least 1). state seeds
-// the permutation stream; equal states yield identical epoch sequences.
-func NewBatchSampler(m *Mask, targetCells int, state uint64) *BatchSampler {
-	return newBatchSampler(m.rowIdx().indptr, targetCells, state)
-}
-
-// NewBatchSamplerSource builds the sampler from a RowSource. Equal row
-// pointers yield epoch layouts identical to the mask-backed constructor —
-// the sampler needs only Ω's per-row counts, never the values.
+// NewBatchSamplerSource builds a sampler over the source's observed set
+// targeting targetCells observed cells per batch (clamped to at least 1).
+// state seeds the permutation stream; equal states yield identical epoch
+// sequences. The sampler reads only Ω's per-row counts (the CSR row
+// pointer), never the values, so dense and out-of-core sources over the
+// same mask yield identical epoch layouts.
 func NewBatchSamplerSource(src RowSource, targetCells int, state uint64) *BatchSampler {
-	return newBatchSampler(src.RowPtr(), targetCells, state)
-}
-
-func newBatchSampler(indptr []int, targetCells int, state uint64) *BatchSampler {
 	if targetCells < 1 {
 		targetCells = 1
 	}
+	indptr := src.RowPtr()
 	return &BatchSampler{indptr: indptr, target: targetCells, state: state, perm: make([]int32, len(indptr)-1)}
 }
 
@@ -140,8 +133,8 @@ func (sc *BatchScratch) ensure(nc, km, cols int, anchor bool) {
 	}
 }
 
-// StochasticStep applies one projected mini-batch step over the given rows
-// and stores the batch's V-direction into gv (K×M, overwritten):
+// StochasticStepSource applies one projected mini-batch step over the given
+// rows of src and stores the batch's V-direction into gv (K×M, overwritten):
 //
 //	u_i ← max(0, u_i + 2·lr·Σ_{j∈Ω_i} e_ij·v_j)        (per sampled row i)
 //	gv[r][j] = Σ_{i∈rows, j∈Ω_i, j≥startCol} e'_ij·u_i[r]
@@ -153,42 +146,29 @@ func (sc *BatchScratch) ensure(nc, km, cols int, anchor bool) {
 // row's U-gradient is exact (every cell of Ω_i is present), so only the
 // V-direction is stochastic. When au/av are non-nil (SVRG), gv additionally
 // subtracts the anchor's batch V-direction Σ ẽ_ij·ũ_i[r]; the caller adds
-// back the weighted full anchor gradient from VGradObserved. Columns below
-// startCol (frozen landmarks) are never written. Rows are partitioned onto
-// the worker pool; per-chunk partials combine in chunk order, so results
-// are deterministic for a fixed pool size.
-func (m *Mask) StochasticStep(gv, x, u, v *Dense, rows []int32, lr float64, startCol int, au, av *Dense, sc *BatchScratch) {
-	stochAccum(NewDenseSource(x, m), gv, u, v, au, av, rows, lr, true, startCol, sc)
-}
-
-// StochasticStepSource is StochasticStep reading row data through a
-// RowSource instead of a resident (x, mask) pair. With equal sources the two
-// produce Float64bits-identical results: the chunk partition depends only on
-// (row count, |Ω|·K work, pool size) and each chunk's arithmetic reads the
-// same values in the same order.
+// back the weighted full anchor gradient from VGradObservedSource. Columns
+// below startCol (frozen landmarks) are never written. Rows are partitioned
+// onto the worker pool; per-chunk partials combine in chunk order, so
+// results are deterministic for a fixed pool size. The chunk partition
+// depends only on (row count, |Ω|·K work, pool size), so equal dense and
+// out-of-core sources produce Float64bits-identical results.
 func StochasticStepSource(src RowSource, gv, u, v *Dense, rows []int32, lr float64, startCol int, au, av *Dense, sc *BatchScratch) {
 	stochAccum(src, gv, u, v, au, av, rows, lr, true, startCol, sc)
 }
 
-// VGradObserved stores the full observed V-direction at the given factors
-// into gv (K×M, overwritten), without touching u:
+// VGradObservedSource stores the full observed V-direction at the given
+// factors into gv (K×M, overwritten), without touching u:
 //
 //	gv[r][j] = Σ_{(i,j)∈Ω, j≥startCol} (x_ij − u_i·v_j)·u_i[r]
 //
 // This is the SVRG anchor's full gradient snapshot, recomputed once per
 // anchor refresh in a single |Ω|·K pass (no N×M intermediate).
-func (m *Mask) VGradObserved(gv, x, u, v *Dense, startCol int, sc *BatchScratch) {
-	stochAccum(NewDenseSource(x, m), gv, u, v, nil, nil, nil, 0, false, startCol, sc)
-}
-
-// VGradObservedSource is VGradObserved over a RowSource (the SVRG anchor
-// refresh of a source-backed fit).
 func VGradObservedSource(src RowSource, gv, u, v *Dense, startCol int, sc *BatchScratch) {
 	stochAccum(src, gv, u, v, nil, nil, nil, 0, false, startCol, sc)
 }
 
-// stochAccum is the shared kernel behind StochasticStep (rows != nil,
-// update) and VGradObserved (all rows, accumulate only). rows across a
+// stochAccum is the shared kernel behind StochasticStepSource (rows != nil,
+// update) and VGradObservedSource (all rows, accumulate only). rows across a
 // batch are distinct, so parallel chunks write disjoint u rows. Each chunk
 // acquires its own row reader; shard-backed readers pin one shard at a time,
 // so the transient memory of a chunk is bounded by one shard regardless of N.

@@ -205,14 +205,29 @@ func (m *Mask) MaskedFrob2Mul(x, u, v *Dense) float64 {
 	if x.rows != m.rows || x.cols != m.cols {
 		panic(fmt.Sprintf("mat: MaskedFrob2Mul data %dx%d vs mask %dx%d", x.rows, x.cols, m.rows, m.cols))
 	}
-	return MaskedFrob2MulSource(NewDenseSource(x, m), u, v)
+	return maskedFrob2Mul(NewDenseSource(x, m), u, v, nil)
 }
 
-// MaskedFrob2MulSource is MaskedFrob2Mul over a RowSource. The chunk
-// partition and per-chunk accumulation order match the dense path exactly
-// (same row count, same |Ω|·K work estimate), so equal sources reduce to
-// Float64bits-identical objectives.
+// MaskedFrob2MulSource is MaskedFrob2Mul over a RowSource. Both run the same
+// kernel with the same chunk partition (same row count, same |Ω|·K work
+// estimate), so equal sources reduce to Float64bits-identical objectives.
 func MaskedFrob2MulSource(src RowSource, u, v *Dense) float64 {
+	return maskedFrob2Mul(src, u, v, nil)
+}
+
+// MaskedWeightedFrob2Mul returns Σ_{(i,j)∈Ω} w_ij (x_ij − (u·v)_ij)², the
+// fused weighted variant of MaskedFrob2Mul.
+func (m *Mask) MaskedWeightedFrob2Mul(x, u, v, w *Dense) float64 {
+	if w.rows != m.rows || w.cols != m.cols {
+		panic(fmt.Sprintf("mat: MaskedWeightedFrob2Mul weights %dx%d vs mask %dx%d", w.rows, w.cols, m.rows, m.cols))
+	}
+	return maskedFrob2Mul(NewDenseSource(x, m), u, v, w)
+}
+
+// maskedFrob2Mul is the kernel behind the three fused objectives: the sum
+// over Ω of w_ij·(x_ij − (u·v)_ij)², with every w_ij = 1 when wts is nil
+// (wts, when given, has the source's shape).
+func maskedFrob2Mul(src RowSource, u, v, wts *Dense) float64 {
 	n, cols := src.Dims()
 	if u.rows != n || v.cols != cols || u.cols != v.rows {
 		panic(fmt.Sprintf("mat: MaskedFrob2Mul %dx%d · %dx%d vs source %dx%d",
@@ -254,68 +269,6 @@ func MaskedFrob2MulSource(src RowSource, u, v *Dense) float64 {
 					pred[j] += av * vt[j]
 				}
 			}
-			for _, j := range jsr {
-				d := xi[j] - pred[j]
-				s += d * d
-			}
-		}
-		return s
-	})
-}
-
-// MaskedWeightedFrob2Mul returns Σ_{(i,j)∈Ω} w_ij (x_ij − (u·v)_ij)², the
-// fused weighted variant of MaskedFrob2Mul.
-// The weighted objective is multiplicative-updater-only (never stochastic),
-// so it stays on the resident mask path rather than the RowSource seam.
-func (m *Mask) MaskedWeightedFrob2Mul(x, u, v, w *Dense) float64 {
-	if w.rows != m.rows || w.cols != m.cols {
-		panic(fmt.Sprintf("mat: MaskedWeightedFrob2Mul weights %dx%d vs mask %dx%d", w.rows, w.cols, m.rows, m.cols))
-	}
-	return m.maskedFrob2Mul(x, u, v, w)
-}
-
-func (m *Mask) maskedFrob2Mul(x, u, v, wts *Dense) float64 {
-	if x.rows != m.rows || x.cols != m.cols || u.rows != m.rows || v.cols != m.cols || u.cols != v.rows {
-		panic(fmt.Sprintf("mat: MaskedFrob2Mul %dx%d vs %dx%d · %dx%d vs mask %dx%d",
-			x.rows, x.cols, u.rows, u.cols, v.rows, v.cols, m.rows, m.cols))
-	}
-	if m.rows*m.cols == 0 {
-		return 0
-	}
-	k := u.cols
-	cols := m.cols
-	ix := m.rowIdx()
-	return parallelReduce(m.rows, len(ix.idx)*k, func(lo, hi int) float64 {
-		pred := make([]float64, cols)
-		var s float64
-		for i := lo; i < hi; i++ {
-			jsr := ix.idx[ix.indptr[i]:ix.indptr[i+1]]
-			if len(jsr) == 0 {
-				continue
-			}
-			ui := u.data[i*k : (i+1)*k]
-			for _, j := range jsr {
-				pred[j] = 0
-			}
-			t := 0
-			for ; t+4 <= k; t += 4 {
-				a0, a1, a2, a3 := ui[t], ui[t+1], ui[t+2], ui[t+3]
-				v0 := v.data[t*cols : (t+1)*cols]
-				v1 := v.data[(t+1)*cols : (t+2)*cols]
-				v2 := v.data[(t+2)*cols : (t+3)*cols]
-				v3 := v.data[(t+3)*cols : (t+4)*cols]
-				for _, j := range jsr {
-					pred[j] += a0*v0[j] + a1*v1[j] + a2*v2[j] + a3*v3[j]
-				}
-			}
-			for ; t < k; t++ {
-				av := ui[t]
-				vt := v.data[t*cols : (t+1)*cols]
-				for _, j := range jsr {
-					pred[j] += av * vt[j]
-				}
-			}
-			xi := x.data[i*cols : (i+1)*cols]
 			if wts != nil {
 				wi := wts.data[i*cols : (i+1)*cols]
 				for _, j := range jsr {

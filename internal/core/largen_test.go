@@ -95,16 +95,18 @@ func TestLargeNStochasticSpeedup(t *testing.T) {
 // Float64bits-identical objective trajectory of the in-memory fit, (b) keep
 // the store's peak shard residency within the budget plus transient reader
 // pins (one pinned shard per worker chunk is allowed to overshoot — see
-// Store.evictFor), and (c) not quietly materialize the data on the Go heap:
+// Store.evictFor), (c) not quietly materialize the data on the Go heap:
 // live heap growth across the fit stays below half the data size, i.e. the
-// factors and trainer state, not a second copy of X. Mapped shard pages are
-// deliberately outside the heap accounting — their ceiling is assertion (b).
-// Gated behind SMFL_LARGE=1 so the tier-1 -race suite stays fast.
+// factors and trainer state, not a second copy of X, and (d) map each shard
+// at most once per worker chunk of each pass (shardMapBound). Mapped shard
+// pages are deliberately outside the heap accounting — their ceiling is
+// assertion (b). Gated behind SMFL_LARGE=1 so the tier-1 -race suite stays
+// fast.
 func TestLargeNOutOfCore(t *testing.T) {
 	if os.Getenv("SMFL_LARGE") == "" {
 		t.Skip("set SMFL_LARGE=1 to run the out-of-core smoke")
 	}
-	const n, m = 60000, 40
+	const n, m, shardRows = 60000, 40, 2048
 	res, err := dataset.Generate(dataset.Spec{
 		Name: "OutOfCore", N: n, M: m, L: 2,
 		Latents: 5, Bumps: 8, Clusters: 6, Noise: 0.2, Private: 0.3, Seed: 13,
@@ -129,7 +131,7 @@ func TestLargeNOutOfCore(t *testing.T) {
 	}
 
 	dir := filepath.Join(t.TempDir(), "large.smfs")
-	if err := store.Write(dir, x, omega, store.WriteOptions{ShardRows: 2048}); err != nil {
+	if err := store.Write(dir, x, omega, store.WriteOptions{ShardRows: shardRows}); err != nil {
 		t.Fatal(err)
 	}
 	const dataBytes = int64(n * m * 8)
@@ -181,6 +183,12 @@ func TestLargeNOutOfCore(t *testing.T) {
 	heapGrowth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	if heapGrowth > dataBytes/2 {
 		t.Fatalf("live heap grew %d bytes across the fit (data is %d) — the source fit materialized the data", heapGrowth, dataBytes)
+	}
+	shards := (n + shardRows - 1) / shardRows
+	batches := (omega.Count() + cfg.BatchCells - 1) / cfg.BatchCells
+	if bound := shardMapBound(batches, ooc.Iters, shards); stats.ShardMaps > bound {
+		t.Fatalf("%d shard maps over %d epochs of %d batches on %d shards, bound %d",
+			stats.ShardMaps, ooc.Iters, batches, shards, bound)
 	}
 	t.Logf("N=%d out-of-core: budget %d, peak resident %d, evictions %d, maps %d, heap growth %d",
 		n, budget, stats.PeakResident, stats.Evictions, stats.ShardMaps, heapGrowth)

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -178,6 +179,66 @@ func TestStoreResumeRejectsMismatch(t *testing.T) {
 			t.Fatal("ResumeFitSource accepted an in-memory checkpoint")
 		}
 	})
+}
+
+// shardMapBound is the most shard maps a source fit may make when every
+// pass over the store reads rows in ascending order: a pass pins each shard
+// at most once per worker chunk, and adjacent chunks share at most one
+// shard, so it maps at most shards+workers−1. An epoch makes one pass per
+// batch plus the objective pass, and the SI fill adds one.
+func shardMapBound(batches, epochs, shards int) int64 {
+	return int64(((batches+1)*epochs + 1) * (shards + mat.Workers() - 1))
+}
+
+// TestStoreFitShardMapsBounded: with the shard cache holding about a quarter
+// of the store, a stochastic fit must map each shard once per pass, not once
+// per sampled row — the sampler hands every batch its rows in ascending
+// order.
+func TestStoreFitShardMapsBounded(t *testing.T) {
+	const n, shardRows = 2000, 100
+	x, omega, l := testProblem(t, n, 3)
+	dir := filepath.Join(t.TempDir(), "data.smfs")
+	if err := store.Write(dir, x, omega, store.WriteOptions{ShardRows: shardRows}); err != nil {
+		t.Fatalf("store.Write: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var storeBytes int64
+	for _, e := range entries {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		storeBytes += fi.Size()
+	}
+	st, err := store.Open(dir, store.Config{MemBudget: storeBytes / 4})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	defer st.Close()
+
+	cfg := quickCfg(4)
+	cfg.MaxIter = 5
+	cfg.Updater = SGD
+	cfg.LearningRate = 5e-3
+	cfg.BatchCells = omega.Count() / 4
+	model, err := FitSource(st, l, SMFL, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := (n + shardRows - 1) / shardRows
+	batches := (omega.Count() + cfg.BatchCells - 1) / cfg.BatchCells
+	bound := shardMapBound(batches, model.Iters, shards)
+	stats := st.Stats()
+	if stats.Evictions == 0 {
+		t.Fatalf("budget never forced an eviction — the test exercised no LRU churn: %+v", stats)
+	}
+	if stats.ShardMaps > bound {
+		t.Fatalf("%d shard maps over %d epochs of %d batches on %d shards, bound %d",
+			stats.ShardMaps, model.Iters, batches, shards, bound)
+	}
 }
 
 func TestFitSourceRejectsFullSweepUpdaters(t *testing.T) {

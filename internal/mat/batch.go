@@ -15,18 +15,24 @@ import "fmt"
 // stochastic updaters. Batches are row blocks: each epoch reshuffles the
 // rows with a seeded permutation and cuts it greedily into consecutive
 // blocks of at least the target observed-cell count (per the CSR index of
-// Ω), so one epoch's batches visit every observed cell exactly once. The
-// whole sampler position is a single uint64 — Reshuffle is a pure function
-// of it — so checkpoints persist it and epoch-granularity rollbacks rewind
-// it without replaying history.
+// Ω), so one epoch's batches visit every observed cell exactly once and
+// each batch is a uniformly random row set. Each batch then lists its rows
+// in ascending order, so a row-sharded source pins each shard at most once
+// per worker chunk. Within a batch V is fixed and a row's U step reads only
+// that row, so the order affects only the summation order (rounding) of
+// the batch's V-direction. The whole sampler position is a single uint64 —
+// Reshuffle is a pure function of it — so checkpoints persist it and
+// epoch-granularity rollbacks rewind it without replaying history.
 type BatchSampler struct {
 	indptr []int // CSR row pointer of Ω (length n+1)
 	target int
 	state  uint64
 
-	perm   []int32
-	starts []int // batch b covers perm[starts[b]:starts[b+1]]
-	cells  []int // observed cells in batch b
+	perm    []int32
+	batchOf []int32 // batch index of each row in the current epoch
+	starts  []int   // batch b covers perm[starts[b]:starts[b+1]]
+	next    []int   // per-batch placement cursor (Reshuffle scratch)
+	cells   []int   // observed cells in batch b
 }
 
 // NewBatchSamplerSource builds a sampler over the source's observed set
@@ -40,7 +46,9 @@ func NewBatchSamplerSource(src RowSource, targetCells int, state uint64) *BatchS
 		targetCells = 1
 	}
 	indptr := src.RowPtr()
-	return &BatchSampler{indptr: indptr, target: targetCells, state: state, perm: make([]int32, len(indptr)-1)}
+	n := len(indptr) - 1
+	return &BatchSampler{indptr: indptr, target: targetCells, state: state,
+		perm: make([]int32, n), batchOf: make([]int32, n)}
 }
 
 // State returns the sampler position. Snapshot it before an epoch's
@@ -78,6 +86,7 @@ func (s *BatchSampler) Reshuffle() {
 	s.cells = s.cells[:0]
 	acc := 0
 	for p, row := range s.perm {
+		s.batchOf[row] = int32(len(s.cells))
 		acc += s.indptr[row+1] - s.indptr[row]
 		if acc >= s.target && p+1 < len(s.perm) {
 			s.starts = append(s.starts, p+1)
@@ -87,14 +96,22 @@ func (s *BatchSampler) Reshuffle() {
 	}
 	s.starts = append(s.starts, len(s.perm))
 	s.cells = append(s.cells, acc)
+
+	// Counting placement: walking rows in ascending order and appending each
+	// to its batch's next slot leaves every batch sorted, in O(n).
+	s.next = append(s.next[:0], s.starts[:len(s.cells)]...)
+	for row, b := range s.batchOf {
+		s.perm[s.next[b]] = int32(row)
+		s.next[b]++
+	}
 }
 
 // NumBatches returns the number of batches in the current epoch (call after
 // Reshuffle).
 func (s *BatchSampler) NumBatches() int { return len(s.starts) - 1 }
 
-// Batch returns the row indices of batch b. The slice aliases the sampler's
-// permutation and is valid until the next Reshuffle.
+// Batch returns the row indices of batch b in ascending order. The slice
+// aliases the sampler's permutation and is valid until the next Reshuffle.
 func (s *BatchSampler) Batch(b int) []int32 { return s.perm[s.starts[b]:s.starts[b+1]] }
 
 // BatchCells returns the observed-cell count of batch b — the SVRG weight

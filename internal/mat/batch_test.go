@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -26,19 +27,77 @@ func randomSparseProblem(t *testing.T, n, m, k int, density float64, seed int64)
 	return x, mask, u, v
 }
 
+// referenceEpoch re-derives one epoch of the sampler from state: a
+// splitmix64 Fisher–Yates shuffle of the rows, cut greedily into blocks of
+// at least target observed cells. It returns each block's rows sorted and
+// its cell count.
+func referenceEpoch(indptr []int, target int, state *uint64) ([][]int32, []int) {
+	local := splitmix64(state)
+	perm := make([]int32, len(indptr)-1)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	for i := len(perm) - 1; i > 0; i-- {
+		j := int(splitmix64(&local) % uint64(i+1))
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	var batches [][]int32
+	var cells []int
+	lo, acc := 0, 0
+	for p, row := range perm {
+		acc += indptr[row+1] - indptr[row]
+		if (acc >= target && p+1 < len(perm)) || p+1 == len(perm) {
+			b := append([]int32(nil), perm[lo:p+1]...)
+			slices.Sort(b)
+			batches = append(batches, b)
+			cells = append(cells, acc)
+			lo, acc = p+1, 0
+		}
+	}
+	return batches, cells
+}
+
+// TestBatchSamplerPartitionsOmega is the sampler contract: every epoch's
+// batches partition the rows and Ω, meet the cell target, list their rows
+// in strictly ascending order, and are exactly the reference shuffle-and-cut
+// row sets — across several epochs and a SetState replay.
 func TestBatchSamplerPartitionsOmega(t *testing.T) {
-	x, mask, _, _ := randomSparseProblem(t, 97, 11, 3, 0.4, 1)
-	s := NewBatchSamplerSource(NewDenseSource(x, mask), 40, 7)
-	for epoch := 0; epoch < 3; epoch++ {
+	const n, target = 97, 40
+	x, mask, _, _ := randomSparseProblem(t, n, 11, 3, 0.4, 1)
+	src := NewDenseSource(x, mask)
+	s := NewBatchSamplerSource(src, target, 7)
+	refState := uint64(7)
+	check := func(epoch int) {
+		t.Helper()
 		s.Reshuffle()
-		seen := make([]bool, 97)
+		want, wantCells := referenceEpoch(src.RowPtr(), target, &refState)
+		if s.State() != refState {
+			t.Fatalf("epoch %d: sampler state %d, reference %d", epoch, s.State(), refState)
+		}
+		if s.NumBatches() != len(want) {
+			t.Fatalf("epoch %d: %d batches, reference %d", epoch, s.NumBatches(), len(want))
+		}
+		seen := make([]bool, n)
 		cells := 0
 		for b := 0; b < s.NumBatches(); b++ {
-			for _, r := range s.Batch(b) {
+			rows := s.Batch(b)
+			for p, r := range rows {
+				if p > 0 && rows[p-1] >= r {
+					t.Fatalf("epoch %d batch %d: rows not strictly ascending at %d: %v", epoch, b, p, rows)
+				}
 				if seen[r] {
 					t.Fatalf("epoch %d: row %d sampled twice", epoch, r)
 				}
 				seen[r] = true
+			}
+			if !slices.Equal(rows, want[b]) {
+				t.Fatalf("epoch %d batch %d: rows %v, reference %v", epoch, b, rows, want[b])
+			}
+			if s.BatchCells(b) != wantCells[b] {
+				t.Fatalf("epoch %d batch %d: %d cells, reference %d", epoch, b, s.BatchCells(b), wantCells[b])
+			}
+			if b < s.NumBatches()-1 && s.BatchCells(b) < target {
+				t.Fatalf("epoch %d: non-final batch %d has %d cells, target %d", epoch, b, s.BatchCells(b), target)
 			}
 			cells += s.BatchCells(b)
 		}
@@ -50,11 +109,19 @@ func TestBatchSamplerPartitionsOmega(t *testing.T) {
 		if cells != mask.Count() {
 			t.Fatalf("epoch %d: batches cover %d cells, Ω has %d", epoch, cells, mask.Count())
 		}
-		for b := 0; b < s.NumBatches()-1; b++ {
-			if s.BatchCells(b) < 40 {
-				t.Fatalf("epoch %d: non-final batch %d has %d cells, target 40", epoch, b, s.BatchCells(b))
-			}
+	}
+	const epochs, replayFrom = 5, 2
+	var replay uint64
+	for epoch := 0; epoch < epochs; epoch++ {
+		if epoch == replayFrom {
+			replay = s.State()
 		}
+		check(epoch)
+	}
+	s.SetState(replay)
+	refState = replay
+	for epoch := replayFrom; epoch < epochs; epoch++ {
+		check(epoch)
 	}
 }
 

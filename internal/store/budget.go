@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -26,7 +27,7 @@ func ParseMemBudget(s string) (int64, error) {
 		}
 	}
 	v, err := strconv.ParseInt(strings.TrimSpace(t), 10, 64)
-	if err != nil || v <= 0 {
+	if err != nil || v <= 0 || v > math.MaxInt64/mult {
 		return 0, fmt.Errorf("store: invalid memory budget %q (want e.g. 64MiB, 2G, or bytes)", s)
 	}
 	return v * mult, nil

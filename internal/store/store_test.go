@@ -349,7 +349,10 @@ func TestParseMemBudget(t *testing.T) {
 			t.Fatalf("ParseMemBudget(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "-5", "0", "1TiB+", "abc", "1.5G"} {
+	for _, bad := range []string{"", "-5", "0", "1TiB+", "abc", "1.5G",
+		"17179869185G", // v·mult wraps to exactly 1 GiB
+		"8589934592G",  // v·mult wraps to math.MinInt64
+	} {
 		if _, err := ParseMemBudget(bad); err == nil {
 			t.Fatalf("ParseMemBudget(%q) accepted", bad)
 		}

@@ -10,7 +10,7 @@
 // -shard writes the dataset directly as an out-of-core shard store
 // (internal/store) instead of CSV: the table is min-max normalized, -missing
 // hides that fraction of cells, and the store records the normalization
-// stats so smfl impute -store mmap can map results back to original units.
+// stats so smfl impute -in <store> can map results back to original units.
 // Generating straight to shards is how fits larger than RAM get their test
 // data — no intermediate CSV of the full table is ever materialized.
 package main

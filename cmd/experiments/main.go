@@ -4,7 +4,7 @@
 //
 //	experiments list
 //	experiments run <id>|all [-scale f] [-runs n] [-seed s] [-maxiter n] [-budget d] [-journal f.jsonl]
-//	                         [-updater multiplicative|gd|sgd|svrg] [-batch-cells n] [-epochs n]
+//	                         [-updater multiplicative|gd|sgd|svrg] [-batch-cells n]
 //
 // IDs: table4 table5 table6 table7 fig4a fig4b fig5 fig6 fig7 fig8 fig9
 // ablation-landmark-source ablation-updater ablation-graph
@@ -64,8 +64,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		scale := fs.Float64("scale", 0.02, "dataset size relative to the paper (1 = full)")
 		runs := fs.Int("runs", 5, "repetitions averaged per cell (paper: 5)")
 		seed := fs.Int64("seed", 1, "base RNG seed")
-		maxIter := fs.Int("maxiter", 500, "MF iteration cap t1 (paper: 500)")
-		epochs := fs.Int("epochs", 0, "epoch cap for stochastic updaters (overrides -maxiter when > 0)")
+		maxIter := fs.Int("maxiter", 500, "MF iteration cap t1 (paper: 500; epochs under sgd/svrg)")
 		updater := fs.String("updater", "multiplicative", "optimizer for every MF fit: multiplicative | gd | sgd | svrg")
 		batchCells := fs.Int("batch-cells", 0, "sgd/svrg: target observed cells per mini-batch (0 = default 32768)")
 		budget := fs.Duration("budget", 10*time.Minute, "per-method OOT budget")
@@ -86,9 +85,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		up, err := core.ParseUpdater(*updater)
 		if err != nil {
 			return err
-		}
-		if *epochs > 0 {
-			*maxIter = *epochs
 		}
 		opts := experiments.Options{
 			Scale: *scale, Runs: *runs, Seed: *seed,

@@ -8,7 +8,7 @@
 //	smfl cluster -in data.csv [-l 2] [-k 5]
 //	smfl foldin  -model m.smfl -in new.csv -out filled.csv [-foldin-tol 1e-8]
 //	smfl convert -in data.csv -out data.smfs [-l 2] [-shard-rows 4096]
-//	smfl impute  -store mmap -in data.smfs -out filled.csv [-mem-budget 256MiB] ...
+//	smfl impute  -in data.smfs -out filled.csv -updater sgd [-mem-budget 256MiB] ...
 //
 // For impute, empty CSV cells mark the missing values. For repair, dirty
 // cells are found with the spatial-outlier detector. The table is min-max
@@ -21,15 +21,16 @@
 //
 // Million-row tables train with the stochastic updaters: -updater sgd or
 // svrg iterates mini-batches of about -batch-cells observed cells per step,
-// capped at -epochs passes over the observed set; checkpoints and -resume
-// keep their bit-identical guarantee.
+// and -maxiter caps the epochs (passes over the observed set); checkpoints
+// and -resume keep their bit-identical guarantee.
 //
 // Tables larger than RAM train out of core: convert lays the normalized
-// table out as an on-disk shard store (internal/store), and impute with
-// -store mmap streams rows from it through a memory-mapped shard cache
-// bounded by -mem-budget, producing the bit-identical factors of the
-// in-memory fit. Checkpoints bind to the store's content hash, so -resume
-// keeps the same trajectory guarantee.
+// table out as an on-disk shard store (internal/store), and impute given
+// that directory as -in streams rows from it through a memory-mapped shard
+// cache bounded by -mem-budget. The fit has the bit-identical factors of
+// the in-memory fit of the CSV, and the output file is byte-identical to
+// it. Checkpoints bind to the store's content hash, so -resume keeps the
+// same trajectory guarantee.
 package main
 
 import (
@@ -43,7 +44,6 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -68,7 +68,7 @@ func main() {
 	}
 }
 
-const usage = "usage: smfl impute|repair|cluster|foldin [flags]"
+const usage = "usage: smfl impute|repair|cluster|foldin|convert [flags]"
 
 // run executes one subcommand; factored out of main for tests.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
@@ -78,7 +78,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	cmd := args[0]
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	in := fs.String("in", "", "input CSV path (required)")
+	in := fs.String("in", "", "input CSV path, or for impute a shard-store directory from smfl convert (required)")
 	out := fs.String("out", "", "output CSV path (impute/repair)")
 	l := fs.Int("l", 2, "number of leading spatial-information columns")
 	methodName := fs.String("method", "SMFL", "NMF | SMF | SMFL")
@@ -86,8 +86,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	lambda := fs.Float64("lambda", 0.1, "spatial regularization weight")
 	p := fs.Int("p", 3, "spatial nearest neighbors")
 	seed := fs.Int64("seed", 1, "RNG seed")
-	maxIter := fs.Int("maxiter", 500, "iteration cap")
-	epochs := fs.Int("epochs", 0, "epoch cap for stochastic updaters (overrides -maxiter when > 0)")
+	maxIter := fs.Int("maxiter", 500, "iteration cap (epochs under sgd/svrg)")
 	tol := fs.Float64("tol", 0, "relative objective-change early stop (0 = default 1e-5)")
 	updater := fs.String("updater", "multiplicative", "optimizer: multiplicative | gd | sgd | svrg")
 	batchCells := fs.Int("batch-cells", 0, "sgd/svrg: target observed cells per mini-batch (0 = default 32768)")
@@ -100,8 +99,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	resume := fs.Bool("resume", false, "impute: continue the fit from -checkpoint instead of starting over")
 	foldinTol := fs.Float64("foldin-tol", 0, "foldin: per-row convergence tolerance (0 = model default)")
 	spatialIndex := fs.String("spatial-index", "exact", "p-NN graph backend: exact | landmark (sub-quadratic, recommended for large N)")
-	storeKind := fs.String("store", "dense", "impute: data backend: dense (in-memory CSV) | mmap (-in is a shard-store directory from smfl convert)")
-	memBudget := fs.String("mem-budget", "", "mmap store: resident shard-cache budget, e.g. 256MiB (default)")
+	memBudget := fs.String("mem-budget", "", "impute from a shard store: resident shard-cache budget, e.g. 256MiB (default)")
 	shardRows := fs.Int("shard-rows", 0, "convert: rows per shard (0 = default 4096)")
 	verbose := fs.Bool("v", false, "report wall-clock fit time and iteration count")
 	if err := fs.Parse(args[1:]); err != nil {
@@ -110,7 +108,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *in == "" {
 		return errors.New("-in is required")
 	}
-	method, err := parseMethod(*methodName)
+	method, err := core.ParseMethod(*methodName)
 	if err != nil {
 		return err
 	}
@@ -121,9 +119,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	up, err := core.ParseUpdater(*updater)
 	if err != nil {
 		return err
-	}
-	if *epochs > 0 {
-		*maxIter = *epochs // a stochastic iteration is one epoch over Ω
 	}
 	cfg := core.Config{
 		K: *k, Lambda: *lambda, P: *p, Seed: *seed, MaxIter: *maxIter, Tol: *tol,
@@ -140,91 +135,62 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if *out == "" {
 			return errors.New("convert: -out store directory is required")
 		}
-		f, err := os.Open(*in)
+		t, err := readTable(*in, *l)
 		if err != nil {
 			return err
 		}
-		ds, mask, err := dataset.ReadCSVMasked(f, *in, *l)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		nz, err := dataset.FitNormalizer(ds.X, mask)
-		if err != nil {
-			return err
-		}
-		nz.Apply(ds.X)
-		if err := store.Write(*out, ds.X, mask, store.WriteOptions{
-			ShardRows: *shardRows, Mins: nz.Mins, Maxs: nz.Maxs, Columns: ds.Columns,
+		if err := store.Write(*out, t.x, t.mask, store.WriteOptions{
+			ShardRows: *shardRows, Mins: t.nz.Mins, Maxs: t.nz.Maxs, Columns: t.columns,
 		}); err != nil {
 			return err
 		}
-		n, m := ds.Dims()
+		n, m := t.x.Dims()
 		fmt.Fprintf(stderr, "smfl: converted %dx%d table (%d observed cells) into %s\n",
-			n, m, mask.Count(), *out)
+			n, m, t.mask.Count(), *out)
 
 	case "impute":
-		if *storeKind == "mmap" {
-			return imputeFromStore(ctx, storeImputeArgs{
-				dir: *in, out: *out, l: *l, method: method, cfg: cfg,
-				memBudget: *memBudget, resume: *resume, checkpoint: *checkpoint,
-				checkpointEvery: *checkpointEvery, maxIter: *maxIter,
-				saveModel: *saveModel, verbose: *verbose,
-			}, stdout, stderr)
-		}
-		if *storeKind != "dense" {
-			return fmt.Errorf("unknown -store backend %q (dense | mmap)", *storeKind)
-		}
-		f, err := os.Open(*in)
+		t, err := openTable(*in, *l, *memBudget)
 		if err != nil {
 			return err
 		}
-		ds, mask, err := dataset.ReadCSVMasked(f, *in, *l)
-		f.Close()
-		if err != nil {
-			return err
+		if t.st != nil {
+			defer t.st.Close()
 		}
-		nz, err := dataset.FitNormalizer(ds.X, mask)
-		if err != nil {
-			return err
-		}
-		nz.Apply(ds.X)
+		ropts := &core.ResumeOptions{Ctx: ctx, MaxIter: *maxIter, CheckpointEvery: *checkpointEvery}
 		start := time.Now()
-		var xhat *mat.Dense
 		var model *core.Model
-		if *resume {
+		switch {
+		case t.st != nil && *resume:
+			model, err = core.ResumeFitSource(*checkpoint, t.st, ropts)
+		case t.st != nil:
+			model, err = core.FitSource(t.st, *l, method, cfg)
+		case *resume:
 			// The normalizer is refit from the same data, so the normalized
 			// matrix — and with it the checkpoint hash — reproduces exactly.
-			model, err = core.ResumeFit(*checkpoint, ds.X, mask, &core.ResumeOptions{
-				Ctx: ctx, MaxIter: *maxIter, CheckpointEvery: *checkpointEvery,
-			})
-			if model != nil && err == nil {
-				xhat = model.Recover(ds.X, mask)
-			}
-		} else {
-			xhat, model, err = core.Impute(ds.X, mask, ds.L, method, cfg)
+			model, err = core.ResumeFit(*checkpoint, t.x, t.mask, ropts)
+		default:
+			model, err = core.Fit(t.x, t.mask, *l, method, cfg)
+		}
+		if errors.Is(err, core.ErrInterrupted) && *checkpoint != "" {
+			return fmt.Errorf("%w; checkpoint saved, rerun with -resume to continue", err)
 		}
 		if err != nil {
-			if errors.Is(err, core.ErrInterrupted) && *checkpoint != "" {
-				return fmt.Errorf("%w; checkpoint saved, rerun with -resume to continue", err)
-			}
 			return err
 		}
 		if *verbose {
 			fmt.Fprintf(stderr, "smfl: fit took %s (%d iterations)\n", time.Since(start).Round(time.Millisecond), model.Iters)
 		}
-		nz.Invert(xhat)
-		ds.X = xhat
-		if err := writeOut(ds, *out, stdout); err != nil {
+		filled, err := writeCompleted(*out, stdout, t.columns, model.U, model.V, t.src, t.nz)
+		if err != nil {
 			return err
 		}
 		if *saveModel != "" {
-			if err := saveArtifact(*saveModel, model, nz); err != nil {
+			if err := saveArtifact(*saveModel, model, t.nz); err != nil {
 				return err
 			}
 		}
 		fmt.Fprintf(stderr, "smfl: imputed %d cells in %d iterations (converged=%v)\n",
-			mask.CountHidden(), model.Iters, model.Converged)
+			filled, model.Iters, model.Converged)
 
 	case "repair":
 		ds, err := dataset.LoadCSV(*in, *in, *l)
@@ -240,21 +206,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
+		// The dirty cells are relearned: the fit and the writer treat only
+		// their clean complement as observed.
+		clean := dirty.Complement()
 		start := time.Now()
-		repaired, model, err := core.Repair(ds.X, dirty, ds.L, method, cfg)
+		model, err := core.Fit(ds.X, clean, ds.L, method, cfg)
 		if err != nil {
 			return err
 		}
 		if *verbose {
 			fmt.Fprintf(stderr, "smfl: fit took %s (%d iterations)\n", time.Since(start).Round(time.Millisecond), model.Iters)
 		}
-		nz.Invert(repaired)
-		ds.X = repaired
-		if err := writeOut(ds, *out, stdout); err != nil {
+		repaired, err := writeCompleted(*out, stdout, ds.Columns, model.U, model.V, mat.NewDenseSource(ds.X, clean), nz)
+		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "smfl: repaired %d suspicious cells in %d iterations\n",
-			dirty.Count(), model.Iters)
+			repaired, model.Iters)
 
 	case "cluster":
 		ds, err := dataset.LoadCSV(*in, *in, *l)
@@ -293,37 +261,30 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		ds, mask, err := dataset.ReadCSVMasked(f, *in, *l)
-		f.Close()
+		ds, mask, err := readMasked(*in, *l)
 		if err != nil {
 			return err
 		}
 		// New rows arrive in original units; apply the training
-		// normalization, complete, and map back.
+		// normalization, fold in, and map back.
 		nz.Apply(ds.X)
 		if *foldinTol > 0 {
 			model.Config.FoldInTol = *foldinTol
 		}
 		model.Config.Ctx = ctx
 		start := time.Now()
-		completed, err := model.CompleteRows(ds.X, mask, *maxIter)
+		u, err := model.FoldIn(ds.X, mask, *maxIter)
 		if err != nil {
 			return err
 		}
 		if *verbose {
 			fmt.Fprintf(stderr, "smfl: fold-in took %s\n", time.Since(start).Round(time.Millisecond))
 		}
-		nz.Invert(completed)
-		ds.X = completed
-		if err := writeOut(ds, *out, stdout); err != nil {
+		filled, err := writeCompleted(*out, stdout, ds.Columns, u, model.V, mat.NewDenseSource(ds.X, mask), nz)
+		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stderr, "smfl: folded in %d rows, filled %d cells\n",
-			ds.X.Rows(), mask.CountHidden())
+		fmt.Fprintf(stderr, "smfl: folded in %d rows, filled %d cells\n", u.Rows(), filled)
 
 	default:
 		return fmt.Errorf("unknown command %q\n%s", cmd, usage)
@@ -331,146 +292,136 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// storeImputeArgs bundles the impute flags relevant to the mmap backend.
-type storeImputeArgs struct {
-	dir, out        string
-	l               int
-	method          core.Method
-	cfg             core.Config
-	memBudget       string
-	resume          bool
-	checkpoint      string
-	checkpointEvery int
-	maxIter         int
-	saveModel       string
-	verbose         bool
+// table is impute's input: -in opened as a shard store when it is a
+// directory and as a CSV with blank cells otherwise. src reads its
+// normalized observed cells and nz maps them back to original units. A CSV
+// also keeps the normalized table resident in x and mask, the form Fit and
+// ResumeFit take; a store is read only through st.
+type table struct {
+	src     mat.RowSource
+	columns []string
+	nz      *dataset.Normalizer
+	st      *store.Store
+	x       *mat.Dense
+	mask    *mat.Mask
 }
 
-// imputeFromStore is the out-of-core impute path: it fits (or resumes)
-// directly over a shard store written by smfl convert and streams the
-// completed table to CSV row by row, so peak memory stays at the factors
-// plus the store's shard-cache budget — the full N×M table is never
-// materialized.
-func imputeFromStore(ctx context.Context, a storeImputeArgs, stdout, stderr io.Writer) error {
-	scfg := store.Config{}
-	if a.memBudget != "" {
-		b, err := store.ParseMemBudget(a.memBudget)
+// openTable opens path as impute's input. memBudget bounds a store's
+// mapped-shard cache.
+func openTable(path string, l int, memBudget string) (*table, error) {
+	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+		t, err := readTable(path, l)
 		if err != nil {
-			return err
+			return nil, err
+		}
+		t.src = mat.NewDenseSource(t.x, t.mask)
+		return t, nil
+	}
+	var scfg store.Config
+	if memBudget != "" {
+		b, err := store.ParseMemBudget(memBudget)
+		if err != nil {
+			return nil, err
 		}
 		scfg.MemBudget = b
 	}
-	st, err := store.Open(a.dir, scfg)
+	st, err := store.Open(path, scfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer st.Close()
 	mins, maxs, ok := st.Norm()
 	if !ok {
-		return errors.New("store carries no normalization stats; re-run smfl convert")
+		st.Close()
+		return nil, errors.New("store carries no normalization stats; re-run smfl convert")
 	}
 	nz, err := dataset.NewNormalizer(mins, maxs)
 	if err != nil {
-		return err
+		st.Close()
+		return nil, err
 	}
+	columns := st.Columns()
+	if columns == nil {
+		_, m := st.Dims()
+		columns = make([]string, m)
+		for j := range columns {
+			columns[j] = "c" + strconv.Itoa(j)
+		}
+	}
+	return &table{src: st, columns: columns, nz: nz, st: st}, nil
+}
 
-	start := time.Now()
-	var model *core.Model
-	if a.resume {
-		model, err = core.ResumeFitSource(a.checkpoint, st, &core.ResumeOptions{
-			Ctx: ctx, MaxIter: a.maxIter, CheckpointEvery: a.checkpointEvery,
-		})
-	} else {
-		model, err = core.FitSource(st, a.l, a.method, a.cfg)
-	}
+// readTable reads a CSV with blank cells and min-max normalizes it in place
+// over its observed cells, as convert stores it and impute fits it.
+func readTable(path string, l int) (*table, error) {
+	ds, mask, err := readMasked(path, l)
 	if err != nil {
-		if errors.Is(err, core.ErrInterrupted) && a.checkpoint != "" {
-			return fmt.Errorf("%w; checkpoint saved, rerun with -resume to continue", err)
-		}
-		return err
+		return nil, err
 	}
-	if a.verbose {
-		fmt.Fprintf(stderr, "smfl: fit took %s (%d iterations)\n", time.Since(start).Round(time.Millisecond), model.Iters)
+	nz, err := dataset.FitNormalizer(ds.X, mask)
+	if err != nil {
+		return nil, err
 	}
+	nz.Apply(ds.X)
+	return &table{columns: ds.Columns, nz: nz, x: ds.X, mask: mask}, nil
+}
 
+// readMasked reads a CSV whose blank cells mark missing values.
+func readMasked(path string, l int) (*dataset.Dataset, *mat.Mask, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	return dataset.ReadCSVMasked(f, path, l)
+}
+
+// writeCompleted writes the completed table of Formula 8 as CSV to the file
+// out, or to stdout when out is empty, and returns the number of cells it
+// filled. It streams one row at a time and never holds the N×M table: row i
+// of U·V is computed by mat.Mul, the arithmetic of Model.Recover and
+// CompleteRows, src's observed cells replace it, and nz maps it back to
+// original units. The output therefore matches the library's whole-matrix
+// path byte for byte, whichever storage src reads.
+func writeCompleted(out string, stdout io.Writer, columns []string, u, v *mat.Dense, src mat.RowSource, nz *dataset.Normalizer) (filled int, err error) {
 	w := stdout
-	if a.out != "" {
-		f, err := os.Create(a.out)
+	if out != "" {
+		f, err := os.Create(out)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		defer f.Close()
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 		w = f
 	}
-	n, m := st.Dims()
-	names := st.Columns()
-	if names == nil {
-		names = make([]string, m)
-		for j := range names {
-			names[j] = "c" + strconv.Itoa(j)
-		}
-	}
 	cw := csv.NewWriter(w)
-	if err := cw.Write(names); err != nil {
-		return err
+	if err := cw.Write(columns); err != nil {
+		return 0, err
 	}
-	// Stream one completed row at a time: prediction u_i·V, observed cells
-	// restored from the store, both mapped back to original units.
-	rd := st.Reader()
+	n, m := src.Dims()
+	rd := src.Reader()
 	defer rd.Release()
-	k, _ := model.V.Dims()
-	vd := model.V.Data()
-	rowBuf := mat.NewDense(1, m)
-	pred := rowBuf.Row(0)
+	row := mat.NewDense(1, m)
+	pred := row.Row(0)
 	rec := make([]string, m)
-	hidden := 0
 	for i := 0; i < n; i++ {
-		ui := model.U.Row(i)
-		for j := 0; j < m; j++ {
-			s := 0.0
-			for r := 0; r < k; r++ {
-				s += ui[r] * vd[r*m+j]
-			}
-			pred[j] = s
-		}
-		xi, cols := rd.Row(i)
+		mat.Mul(row, mat.NewDenseData(1, u.Cols(), u.Row(i)), v)
+		x, cols := rd.Row(i)
 		for _, j := range cols {
-			pred[j] = xi[j]
+			pred[j] = x[j]
 		}
-		hidden += m - len(cols)
-		nz.Invert(rowBuf)
-		for j := 0; j < m; j++ {
-			rec[j] = strconv.FormatFloat(pred[j], 'g', -1, 64)
+		nz.Invert(row)
+		for j, val := range pred {
+			rec[j] = strconv.FormatFloat(val, 'g', -1, 64)
 		}
 		if err := cw.Write(rec); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return err
-	}
-
-	if a.saveModel != "" {
-		if err := saveArtifact(a.saveModel, model, nz); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(stderr, "smfl: imputed %d cells in %d iterations (converged=%v)\n",
-		hidden, model.Iters, model.Converged)
-	return nil
-}
-
-func parseMethod(s string) (core.Method, error) {
-	switch strings.ToUpper(s) {
-	case "NMF":
-		return core.NMF, nil
-	case "SMF":
-		return core.SMF, nil
-	case "SMFL":
-		return core.SMFL, nil
-	}
-	return 0, fmt.Errorf("unknown method %q", s)
+	return n*m - src.NumObserved(), cw.Error()
 }
 
 func saveArtifact(path string, model *core.Model, nz *dataset.Normalizer) error {
@@ -498,11 +449,4 @@ func loadArtifact(path string) (*core.Model, *dataset.Normalizer, error) {
 		return nil, nil, err
 	}
 	return model, nz, nil
-}
-
-func writeOut(ds *dataset.Dataset, out string, stdout io.Writer) error {
-	if out == "" {
-		return ds.WriteCSV(stdout)
-	}
-	return ds.SaveCSV(out)
 }

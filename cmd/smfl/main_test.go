@@ -13,6 +13,8 @@ import (
 	"github.com/spatialmf/smfl/internal/core"
 	"github.com/spatialmf/smfl/internal/dataset"
 	"github.com/spatialmf/smfl/internal/faultinject"
+	"github.com/spatialmf/smfl/internal/mat"
+	"github.com/spatialmf/smfl/internal/repair"
 )
 
 func writeTempCSV(t *testing.T, withHoles bool) string {
@@ -47,16 +49,25 @@ func writeTempCSV(t *testing.T, withHoles bool) string {
 	return path
 }
 
-func TestParseMethod(t *testing.T) {
-	for name, want := range map[string]core.Method{"nmf": core.NMF, "SMF": core.SMF, "smfl": core.SMFL} {
-		got, err := parseMethod(name)
-		if err != nil || got != want {
-			t.Fatalf("parseMethod(%q) = %v, %v", name, got, err)
+// writeSparseCSV writes the writeTempCSV table with a third of its non-SI
+// cells blank, so many of the cells impute writes are predictions.
+func writeSparseCSV(t *testing.T) string {
+	t.Helper()
+	path := writeTempCSV(t, false)
+	lines := strings.Split(string(mustRead(t, path)), "\n")
+	for i := 1; i < len(lines) && lines[i] != ""; i++ {
+		fields := strings.Split(lines[i], ",")
+		for j := 2; j < len(fields); j++ {
+			if (i+j)%3 == 0 {
+				fields[j] = ""
+			}
 		}
+		lines[i] = strings.Join(fields, ",")
 	}
-	if _, err := parseMethod("bogus"); err == nil {
-		t.Fatal("expected error")
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
 	}
+	return path
 }
 
 func TestRunImputeEndToEnd(t *testing.T) {
@@ -118,8 +129,10 @@ func TestRunErrors(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected usage error")
 	}
-	if !strings.Contains(err.Error(), "foldin") {
-		t.Fatalf("usage omits the foldin subcommand: %v", err)
+	for _, sub := range []string{"impute", "repair", "cluster", "foldin", "convert"} {
+		if !strings.Contains(err.Error(), sub) {
+			t.Fatalf("usage omits the %s subcommand: %v", sub, err)
+		}
 	}
 	if err := run(context.Background(), []string{"impute"}, &out, &errW); err == nil {
 		t.Fatal("expected -in required error")
@@ -230,65 +243,174 @@ func TestRunFoldinRequiresModel(t *testing.T) {
 	}
 }
 
-// TestImputeCheckpointAndResume drives the crash-safe training flags: an
-// impute run interrupted by a (deterministically) cancelled context leaves a
-// checkpoint behind, and a -resume rerun completes from it, producing the
-// same output as a never-interrupted run.
+// runOK runs the CLI with args, fails the test on error, and returns what
+// the command wrote to stdout.
+func runOK(t *testing.T, args ...string) []byte {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if err := run(context.Background(), args, &stdout, &stderr); err != nil {
+		t.Fatalf("smfl %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return stdout.Bytes()
+}
+
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestOutputMatchesLibraryPath pins the CLI's streaming row writer to the
+// library's whole-matrix path: impute writes the bytes of Fit →
+// Model.Recover → Normalizer.Invert → Dataset.WriteCSV, repair those of
+// core.Repair → Invert → WriteCSV, and foldin those of CompleteRows →
+// Invert → WriteCSV, under a full-sweep and a stochastic updater.
+func TestOutputMatchesLibraryPath(t *testing.T) {
+	holes, clean := writeSparseCSV(t), writeTempCSV(t, false)
+	readNormalized := func(path string) (*dataset.Dataset, *mat.Mask, *dataset.Normalizer) {
+		t.Helper()
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		ds, mask, err := dataset.ReadCSVMasked(f, path, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nz, err := dataset.FitNormalizer(ds.X, mask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nz.Apply(ds.X)
+		return ds, mask, nz
+	}
+	libraryCSV := func(ds *dataset.Dataset, nz *dataset.Normalizer, completed *mat.Dense) []byte {
+		t.Helper()
+		nz.Invert(completed)
+		ds.X = completed
+		var buf bytes.Buffer
+		if err := ds.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// K = 10 (the CLI default) makes mat.Mul's 4-wide unrolled sums differ
+	// from a plain left-to-right dot product, so a writer that summed U·V in
+	// another order would fail here.
+	for _, up := range []core.Updater{core.Multiplicative, core.SGD} {
+		cfg := core.Config{K: 10, Lambda: 0.1, P: 3, Seed: 1, MaxIter: 30, Updater: up, BatchCells: 64}
+		flags := []string{"-maxiter", "30", "-updater", up.String(), "-batch-cells", "64"}
+		modelPath := filepath.Join(t.TempDir(), "model.smfl")
+
+		got := runOK(t, append([]string{"impute", "-in", holes, "-savemodel", modelPath}, flags...)...)
+		ds, mask, nz := readNormalized(holes)
+		model, err := core.Fit(ds.X, mask, 2, core.SMFL, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := libraryCSV(ds, nz, model.Recover(ds.X, mask)); !bytes.Equal(got, want) {
+			t.Fatalf("%v: impute output differs from Fit → Recover → Invert → WriteCSV", up)
+		}
+
+		got = runOK(t, "foldin", "-model", modelPath, "-in", holes, "-maxiter", "40")
+		ds, mask, nz = readNormalized(holes)
+		completed, err := model.CompleteRows(ds.X, mask, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := libraryCSV(ds, nz, completed); !bytes.Equal(got, want) {
+			t.Fatalf("%v: foldin output differs from CompleteRows → Invert → WriteCSV", up)
+		}
+
+		got = runOK(t, append([]string{"repair", "-in", clean, "-threshold", "3"}, flags...)...)
+		ds, _, nz = readNormalized(clean)
+		dirty, err := (&repair.SpatialOutlierDetector{Threshold: 3}).Detect(ds.X, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dirty.Count() == 0 {
+			t.Fatal("no dirty cells detected; the repair comparison would be vacuous")
+		}
+		repaired, _, err := core.Repair(ds.X, dirty, 2, core.SMFL, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := libraryCSV(ds, nz, repaired); !bytes.Equal(got, want) {
+			t.Fatalf("%v: repair output differs from Repair → Invert → WriteCSV", up)
+		}
+	}
+}
+
+// TestImputeCheckpointAndResume drives the crash-safe training flags on both
+// inputs: an impute run interrupted by a (deterministically) cancelled
+// context leaves a checkpoint behind, and a -resume rerun completes from it,
+// producing the same output as a never-interrupted run over the CSV. From a
+// shard store the resume goes through core.ResumeFitSource.
 func TestImputeCheckpointAndResume(t *testing.T) {
 	defer faultinject.Reset()
 	in := writeTempCSV(t, true)
 	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "fit.ckpt")
-	full := filepath.Join(dir, "full.csv")
-	resumed := filepath.Join(dir, "resumed.csv")
+	storeDir := filepath.Join(dir, "data.smfs")
+	runOK(t, "convert", "-in", in, "-out", storeDir, "-shard-rows", "16")
 	var stdout, stderr bytes.Buffer
 
-	// Reference: uninterrupted run.
-	err := run(context.Background(), []string{"impute", "-in", in, "-out", full,
-		"-k", "3", "-maxiter", "60", "-tol", "1e-12"}, &stdout, &stderr)
-	if err != nil {
-		t.Fatalf("reference run: %v\n%s", err, stderr.String())
-	}
+	for _, tc := range []struct {
+		name, in string
+		stopAt   int // iteration (epoch under sgd) whose fault cancels the run
+		flags    []string
+	}{
+		{"csv", in, 20, []string{"-k", "3", "-maxiter", "60", "-tol", "1e-12"}},
+		{"store", storeDir, 10, []string{"-k", "3", "-maxiter", "30", "-tol", "1e-12", "-updater", "sgd", "-batch-cells", "64"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer faultinject.Reset()
+			ckpt := filepath.Join(dir, tc.name+".ckpt")
+			full := filepath.Join(dir, tc.name+"-full.csv")
+			resumed := filepath.Join(dir, tc.name+"-resumed.csv")
+			impute := func(ctx context.Context, in, out string, extra ...string) error {
+				args := append([]string{"impute", "-in", in, "-out", out}, tc.flags...)
+				return run(ctx, append(args, extra...), &stdout, &stderr)
+			}
 
-	// Interrupted run: cancel mid-fit via the iteration fault point — the
-	// deterministic stand-in for Ctrl-C.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	faultinject.Enable(faultinject.FitIter, func(p any) error {
-		if p.(*core.FitFault).Iter == 20 {
-			cancel()
-		}
-		return nil
-	})
-	err = run(ctx, []string{"impute", "-in", in, "-out", filepath.Join(dir, "x.csv"),
-		"-k", "3", "-maxiter", "60", "-tol", "1e-12", "-checkpoint", ckpt}, &stdout, &stderr)
-	if err == nil || !errors.Is(err, core.ErrInterrupted) {
-		t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
-	}
-	if !strings.Contains(err.Error(), "-resume") {
-		t.Fatalf("interrupt message should point at -resume: %v", err)
-	}
-	faultinject.Reset()
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("no checkpoint after interruption: %v", err)
-	}
+			// Reference: uninterrupted run over the CSV.
+			if err := impute(context.Background(), in, full); err != nil {
+				t.Fatalf("reference run: %v\n%s", err, stderr.String())
+			}
 
-	// Resume to completion and compare against the reference output.
-	err = run(context.Background(), []string{"impute", "-in", in, "-out", resumed,
-		"-k", "3", "-maxiter", "60", "-tol", "1e-12", "-checkpoint", ckpt, "-resume"}, &stdout, &stderr)
-	if err != nil {
-		t.Fatalf("resume run: %v\n%s", err, stderr.String())
-	}
-	want, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, got) {
-		t.Fatal("resumed output differs from the uninterrupted run")
+			// Interrupted run: cancel mid-fit via the iteration fault point —
+			// the deterministic stand-in for Ctrl-C.
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			faultinject.Enable(faultinject.FitIter, func(p any) error {
+				if p.(*core.FitFault).Iter == tc.stopAt {
+					cancel()
+				}
+				return nil
+			})
+			err := impute(ctx, tc.in, filepath.Join(dir, "x.csv"), "-checkpoint", ckpt)
+			if !errors.Is(err, core.ErrInterrupted) {
+				t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
+			}
+			if !strings.Contains(err.Error(), "-resume") {
+				t.Fatalf("interrupt message should point at -resume: %v", err)
+			}
+			faultinject.Reset()
+			if _, err := os.Stat(ckpt); err != nil {
+				t.Fatalf("no checkpoint after interruption: %v", err)
+			}
+
+			// Resume to completion and compare against the reference output.
+			if err := impute(context.Background(), tc.in, resumed, "-checkpoint", ckpt, "-resume"); err != nil {
+				t.Fatalf("resume run: %v\n%s", err, stderr.String())
+			}
+			if !bytes.Equal(mustRead(t, full), mustRead(t, resumed)) {
+				t.Fatal("resumed output differs from the uninterrupted run over the CSV")
+			}
+		})
 	}
 
 	// -resume without -checkpoint is a usage error.
@@ -298,14 +420,16 @@ func TestImputeCheckpointAndResume(t *testing.T) {
 }
 
 // TestRunConvertAndStoreImpute drives the out-of-core path end to end:
-// convert lays the CSV out as a shard store, impute -store mmap fits from it
-// under a tiny memory budget, and the completed table must agree with the
-// dense impute of the same data — exactly on observed cells (both restore
-// the stored value), to float tolerance on imputed ones (the factors are
-// bit-identical; only the prediction x̂=U·V accumulates in a different
-// order between the streaming and the matrix-multiply writer).
+// convert lays the CSV out as a shard store, impute given the store
+// directory fits from it under a tiny memory budget, and the file it writes
+// must be byte-identical to the impute of the CSV — the factors are
+// bit-identical and both inputs go through the same row writer. Both
+// stochastic updaters are checked at one worker and at the default pool
+// width, with the pooled kernel paths forced on. K = 10 for the reason
+// TestOutputMatchesLibraryPath gives: a store writer summing U·V in another
+// order would differ.
 func TestRunConvertAndStoreImpute(t *testing.T) {
-	in := writeTempCSV(t, true)
+	in := writeSparseCSV(t)
 	dir := t.TempDir()
 	storeDir := filepath.Join(dir, "data.smfs")
 	var stdout, stderr bytes.Buffer
@@ -318,50 +442,38 @@ func TestRunConvertAndStoreImpute(t *testing.T) {
 		t.Fatalf("convert stderr = %q", stderr.String())
 	}
 
-	fitFlags := []string{"-k", "3", "-updater", "sgd", "-epochs", "25", "-tol", "1e-12", "-batch-cells", "64"}
-	denseOut := filepath.Join(dir, "dense.csv")
-	args := append([]string{"impute", "-in", in, "-out", denseOut}, fitFlags...)
-	if err := run(context.Background(), args, &stdout, &stderr); err != nil {
-		t.Fatalf("dense impute: %v\n%s", err, stderr.String())
-	}
+	defer mat.SetWorkers(mat.Workers())
+	defer mat.SetThreshold(mat.SetThreshold(1)) // split every kernel the pool can split
+	for _, workers := range []int{1, 0} {
+		mat.SetWorkers(workers)
+		for _, up := range []string{"sgd", "svrg"} {
+			fitFlags := []string{"-k", "10", "-updater", up, "-maxiter", "25", "-tol", "1e-12", "-batch-cells", "64"}
+			csvOut := filepath.Join(dir, "csv.csv")
+			runOK(t, append([]string{"impute", "-in", in, "-out", csvOut}, fitFlags...)...)
 
-	stderr.Reset()
-	mmapOut := filepath.Join(dir, "mmap.csv")
-	args = append([]string{"impute", "-store", "mmap", "-in", storeDir, "-out", mmapOut, "-mem-budget", "4KiB"}, fitFlags...)
-	if err := run(context.Background(), args, &stdout, &stderr); err != nil {
-		t.Fatalf("store impute: %v\n%s", err, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "imputed 3 cells") {
-		t.Fatalf("store impute stderr = %q", stderr.String())
-	}
-
-	dense, err := dataset.LoadCSV(denseOut, "dense", 2)
-	if err != nil {
-		t.Fatalf("dense output unreadable: %v", err)
-	}
-	mmap, err := dataset.LoadCSV(mmapOut, "mmap", 2)
-	if err != nil {
-		t.Fatalf("store output unreadable: %v", err)
-	}
-	dn, dm := dense.Dims()
-	if mn, mm := mmap.Dims(); mn != dn || mm != dm {
-		t.Fatalf("output shapes differ: %dx%d vs %dx%d", dn, dm, mn, mm)
-	}
-	for i := 0; i < dn; i++ {
-		for j := 0; j < dm; j++ {
-			a, b := dense.X.At(i, j), mmap.X.At(i, j)
-			if d := a - b; d > 1e-9 || d < -1e-9 {
-				t.Fatalf("cell (%d,%d): dense %v vs store %v", i, j, a, b)
+			stderr.Reset()
+			storeOut := filepath.Join(dir, "store.csv")
+			args := append([]string{"impute", "-in", storeDir, "-out", storeOut, "-mem-budget", "4KiB"}, fitFlags...)
+			if err := run(context.Background(), args, &stdout, &stderr); err != nil {
+				t.Fatalf("store impute: %v\n%s", err, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), "imputed 120 cells") {
+				t.Fatalf("store impute stderr = %q", stderr.String())
+			}
+			if !bytes.Equal(mustRead(t, csvOut), mustRead(t, storeOut)) {
+				t.Fatalf("%s at %d workers: store output differs from the CSV output", up, mat.Workers())
 			}
 		}
 	}
 
-	// An unknown backend is a usage error; a CSV handed to -store mmap is
-	// refused at open, not trained on.
-	if err := run(context.Background(), []string{"impute", "-store", "bogus", "-in", in}, &stdout, &stderr); err == nil {
-		t.Fatal("unknown -store backend accepted")
+	// A directory that is not a store fails with the store's error, and a
+	// full-sweep updater is refused by FitSource rather than trained.
+	err = run(context.Background(), []string{"impute", "-in", dir}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "not a shard store (no manifest)") {
+		t.Fatalf("impute of a directory with no manifest returned %v", err)
 	}
-	if err := run(context.Background(), []string{"impute", "-store", "mmap", "-in", dir}, &stdout, &stderr); err == nil {
-		t.Fatal("-store mmap accepted a directory with no manifest")
+	err = run(context.Background(), []string{"impute", "-in", storeDir, "-k", "3"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "stochastic updaters only") {
+		t.Fatalf("impute of a store with the multiplicative updater returned %v", err)
 	}
 }

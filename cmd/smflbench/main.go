@@ -165,7 +165,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	method, err := parseMethod(*methodName)
+	method, err := core.ParseMethod(*methodName)
 	if err != nil {
 		return err
 	}
@@ -633,16 +633,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func parseMethod(s string) (core.Method, error) {
-	switch strings.ToUpper(s) {
-	case "NMF":
-		return core.NMF, nil
-	case "SMF":
-		return core.SMF, nil
-	case "SMFL":
-		return core.SMFL, nil
-	}
-	return 0, fmt.Errorf("unknown method %q", s)
 }

@@ -10,6 +10,7 @@ import (
 
 	"github.com/spatialmf/smfl/internal/faultinject"
 	"github.com/spatialmf/smfl/internal/mat"
+	"github.com/spatialmf/smfl/internal/spatial"
 )
 
 // bitsEqual compares two matrices entry-wise at the float64 bit level —
@@ -33,29 +34,37 @@ func bitsEqual(t *testing.T, name string, a, b *mat.Dense) {
 // for every method (and both updaters for the spatial ones), a fit stopped
 // at an intermediate iteration and resumed from its checkpoint must land on
 // exactly the factors, objective history, and convergence flag of the
-// uninterrupted run.
+// uninterrupted run. The brute-force case checks that the checkpoint carries
+// every configuration field fitHash covers, GraphMode among them.
 func TestResumeBitIdenticalTrajectory(t *testing.T) {
 	x, omega, l := testProblem(t, 120, 7)
 	cases := []struct {
 		method  Method
 		updater Updater
+		graph   spatial.BuildMode
 	}{
-		{NMF, Multiplicative},
-		{SMF, Multiplicative},
-		{SMF, GradientDescent},
-		{SMFL, Multiplicative},
-		{SMFL, GradientDescent},
-		{NMF, SGD},
-		{SMFL, SGD},
-		{NMF, SVRG},
-		{SMFL, SVRG},
+		{NMF, Multiplicative, spatial.KDTreeMode},
+		{SMF, Multiplicative, spatial.KDTreeMode},
+		{SMF, GradientDescent, spatial.KDTreeMode},
+		{SMFL, Multiplicative, spatial.KDTreeMode},
+		{SMFL, Multiplicative, spatial.BruteForceMode},
+		{SMFL, GradientDescent, spatial.KDTreeMode},
+		{NMF, SGD, spatial.KDTreeMode},
+		{SMFL, SGD, spatial.KDTreeMode},
+		{NMF, SVRG, spatial.KDTreeMode},
+		{SMFL, SVRG, spatial.KDTreeMode},
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%v-%v", tc.method, tc.updater), func(t *testing.T) {
+		name := fmt.Sprintf("%v-%v", tc.method, tc.updater)
+		if tc.graph == spatial.BruteForceMode {
+			name += "-bruteforce"
+		}
+		t.Run(name, func(t *testing.T) {
 			cfg := quickCfg(4)
 			cfg.MaxIter = 40
 			cfg.Tol = 1e-12 // keep both runs iterating the full horizon
 			cfg.Updater = tc.updater
+			cfg.GraphMode = tc.graph
 			if tc.updater != Multiplicative {
 				cfg.LearningRate = 5e-3
 			}

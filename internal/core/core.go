@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"github.com/spatialmf/smfl/internal/landmark"
 	"github.com/spatialmf/smfl/internal/mat"
@@ -76,6 +77,19 @@ func (m Method) String() string {
 		return "SMFL"
 	}
 	return fmt.Sprintf("Method(%d)", int(m))
+}
+
+// ParseMethod maps a method name, in any letter case, onto the enum.
+func ParseMethod(s string) (Method, error) {
+	switch strings.ToUpper(s) {
+	case "NMF":
+		return NMF, nil
+	case "SMF":
+		return SMF, nil
+	case "SMFL":
+		return SMFL, nil
+	}
+	return 0, fmt.Errorf("core: unknown method %q (want NMF, SMF or SMFL)", s)
 }
 
 // Updater selects the optimization scheme.

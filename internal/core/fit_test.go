@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/spatialmf/smfl/internal/dataset"
@@ -36,6 +37,21 @@ func quickCfg(k int) Config {
 func rmsOnHidden(x, xhat *mat.Dense, omega *mat.Mask) float64 {
 	psi := omega.Complement()
 	return math.Sqrt(psi.MaskedFrob2(x, xhat) / float64(psi.Count()))
+}
+
+// TestParseMethod covers the CLI method spellings: every Method's String
+// round-trips, in any letter case, and an unknown name is refused.
+func TestParseMethod(t *testing.T) {
+	for _, m := range []Method{NMF, SMF, SMFL} {
+		for _, s := range []string{m.String(), strings.ToLower(m.String())} {
+			if got, err := ParseMethod(s); err != nil || got != m {
+				t.Fatalf("ParseMethod(%q) = %v, %v", s, got, err)
+			}
+		}
+	}
+	if _, err := ParseMethod("bogus"); err == nil {
+		t.Fatal("ParseMethod accepted an unknown method")
+	}
 }
 
 func TestFitShapes(t *testing.T) {

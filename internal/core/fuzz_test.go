@@ -67,7 +67,8 @@ func FuzzReadModel(f *testing.F) {
 
 	// Structurally bogus wire images that decode as gob but must be rejected:
 	// mismatched factor widths, K disagreeing with the factors, an SI width
-	// outside the column range, and landmark dims disagreeing with V.
+	// outside the column range, landmark dims disagreeing with V, a
+	// non-finite objective, and an unknown graph mode.
 	addWire := func(mutate func(*Model)) {
 		m := fuzzSeedModel()
 		mutate(m)
@@ -82,6 +83,7 @@ func FuzzReadModel(f *testing.F) {
 	addWire(func(m *Model) { m.U = mat.FromRows([][]float64{{1, 2, 3}}) })
 	addWire(func(m *Model) { m.C = mat.FromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}) })
 	addWire(func(m *Model) { m.Objective = []float64{math.Inf(-1)} })
+	addWire(func(m *Model) { m.Config.GraphMode = 7 })
 
 	// A hostile Dense header whose 8*rows*cols overflows int64 so the
 	// expected length wraps onto a 12-byte payload (the allocation bomb the

@@ -12,6 +12,7 @@ import (
 	"github.com/spatialmf/smfl/internal/faultinject"
 	"github.com/spatialmf/smfl/internal/landmark"
 	"github.com/spatialmf/smfl/internal/mat"
+	"github.com/spatialmf/smfl/internal/spatial"
 )
 
 // wireVersion is the current .smfl container version. Version 1 files (no
@@ -19,11 +20,13 @@ import (
 // layer; version 3 adds the partial/recovery tags and the fault-tolerance
 // config fields; version 4 adds the spatial-index mode and the landmark
 // placer; version 5 adds the stochastic-updater config (batch size, anchor
-// cadence). gob leaves absent fields zero, so Load reads older files
-// unchanged, and older decoders skip the appended fields. Decoders must
-// tolerate unknown future fields the same way: never repurpose a field name,
-// only append.
-const wireVersion = 5
+// cadence); version 6 adds the exact graph backend (Config.GraphMode), which
+// fitHash covers, so a brute-force-graph checkpoint resumes. gob leaves
+// absent fields zero, so Load reads older files unchanged (as KD-tree fits),
+// and older decoders skip the appended fields. Decoders must tolerate
+// unknown future fields the same way: never repurpose a field name, only
+// append.
+const wireVersion = 6
 
 // modelWire is the gob-encodable image of a fitted Model. Matrices travel
 // through their binary marshalers (see internal/mat/serialize.go).
@@ -78,6 +81,9 @@ type configWire struct {
 	// Since version 5.
 	BatchCells  int
 	AnchorEvery int
+
+	// Since version 6.
+	GraphMode spatial.BuildMode
 }
 
 // Save serializes the fitted model (gob container with binary matrices).
@@ -112,6 +118,7 @@ func (m *Model) Save(w io.Writer) error {
 			WatchdogRetries: cfg.WatchdogRetries, WatchdogExplode: cfg.WatchdogExplode,
 			SpatialIndex: cfg.SpatialIndex,
 			BatchCells:   cfg.BatchCells, AnchorEvery: cfg.AnchorEvery,
+			GraphMode: cfg.GraphMode,
 		},
 		L: m.L, U: u, V: v, C: c,
 		Objective: m.Objective, Iters: m.Iters, Converged: m.Converged,
@@ -176,6 +183,7 @@ func Load(r io.Reader) (*Model, error) {
 			WatchdogRetries: cw.WatchdogRetries, WatchdogExplode: cw.WatchdogExplode,
 			SpatialIndex: cw.SpatialIndex,
 			BatchCells:   cw.BatchCells, AnchorEvery: cw.AnchorEvery,
+			GraphMode: cw.GraphMode,
 		},
 		L: wire.L, U: u, V: v, C: c, Norm: norm,
 		Objective: wire.Objective, Iters: wire.Iters, Converged: wire.Converged,
@@ -230,6 +238,9 @@ func validateLoaded(m *Model) error {
 	}
 	if m.Config.SpatialIndex != SpatialExact && m.Config.SpatialIndex != SpatialLandmark {
 		return fmt.Errorf("core: load: unknown spatial index %d", m.Config.SpatialIndex)
+	}
+	if m.Config.GraphMode != spatial.KDTreeMode && m.Config.GraphMode != spatial.BruteForceMode {
+		return fmt.Errorf("core: load: unknown graph mode %d", m.Config.GraphMode)
 	}
 	switch m.Config.Updater {
 	case Multiplicative, GradientDescent, SGD, SVRG:

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/spatialmf/smfl/internal/faultinject"
@@ -348,5 +349,42 @@ func TestWireV3RoundTripsRobustnessFields(t *testing.T) {
 	c := got.Config
 	if c.FoldInTol != 3e-7 || c.CheckpointEvery != 7 || c.WatchdogRetries != 9 || c.WatchdogExplode != 250 {
 		t.Fatalf("fault-tolerance config lost: %+v", c)
+	}
+}
+
+// TestSaveLoadKeepsEveryConfigField gives every persisted Config field a
+// non-zero value and requires Save→Load to return the Config unchanged. Only
+// the runtime-only Ctx, CheckpointPath and Weights are exempt, so a field
+// added to Config but not to configWire fails here instead of loading as
+// its zero value (GraphMode once did, and fitHash then refused every
+// brute-force-graph checkpoint on resume).
+func TestSaveLoadKeepsEveryConfigField(t *testing.T) {
+	runtimeOnly := map[string]bool{"Ctx": true, "CheckpointPath": true, "Weights": true}
+	m := fuzzSeedModel()
+	cfg := reflect.ValueOf(&m.Config).Elem()
+	for i := 0; i < cfg.NumField(); i++ {
+		f, name := cfg.Field(i), cfg.Type().Field(i).Name
+		if runtimeOnly[name] || !f.IsZero() {
+			continue // K is already set, and must keep matching the factors
+		}
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(1) // a valid value of every enum field too
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 0.5)
+		default:
+			t.Fatalf("Config.%s has kind %s: give it a non-zero value here", name, f.Kind())
+		}
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Config, m.Config) {
+		t.Fatalf("Config changed through Save/Load:\n got %+v\nwant %+v", got.Config, m.Config)
 	}
 }

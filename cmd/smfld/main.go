@@ -6,7 +6,7 @@
 // Usage:
 //
 //	smfld -addr :8080 -model air=air.smfl -model fuel=fuel.smfl \
-//	      [-window 2ms] [-maxbatch 256] [-queue 1024] [-iters 100] \
+//	      [-maxbatch 256] [-queue 1024] [-iters 100] \
 //	      [-keep-versions 3] [-admit-max-cost 65536] [-admit-min-cost 0] \
 //	      [-target-p95 250ms] [-timeout 10s] [-max-timeout 60s] \
 //	      [-degraded-fallback auto]
@@ -19,6 +19,11 @@
 // at load and reload time; finish the run with `smfl impute -resume` first.
 //
 //	curl -s localhost:8080/v1/models/air/impute -d '{"rows": [[39.9, 116.4, null, 57.0]]}'
+//
+// Fold-in is micro-batched without a timer: a model's compute goroutine
+// takes the oldest pending request plus everything queued behind it (up to
+// -maxbatch rows) the moment it is free, so a lone request is solved at once
+// and requests arriving during a compute share the next batch.
 //
 // Hot reloads append a new version of a model; the last -keep-versions
 // versions stay pinnable via ?version=N and a bad reload is a one-call
@@ -102,8 +107,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	fs := flag.NewFlagSet("smfld", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8080", "listen address")
-	window := fs.Duration("window", 2*time.Millisecond, "micro-batch coalescing window")
-	maxBatch := fs.Int("maxbatch", 256, "flush a batch once this many rows are pending")
+	maxBatch := fs.Int("maxbatch", 256, "a batch takes no more requests once it holds this many rows")
 	queue := fs.Int("queue", 1024, "per-model pending request cap")
 	iters := fs.Int("iters", 100, "fold-in iteration cap per batch")
 	grace := fs.Duration("grace", 10*time.Second, "graceful shutdown deadline")
@@ -131,7 +135,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	}
 	metrics := serve.NewMetrics()
 	registry := serve.NewRegistry(serve.Config{
-		Window: *window, MaxBatchRows: *maxBatch, QueueDepth: *queue, FoldInIters: *iters,
+		MaxBatchRows: *maxBatch, QueueDepth: *queue, FoldInIters: *iters,
 		KeepVersions: *keep,
 		Admission: serve.AdmissionConfig{
 			MaxCost: *admitMax, MinCost: *admitMin, TargetP95: *targetP95,

@@ -262,7 +262,7 @@ func TestGracefulDrainUnderChaos(t *testing.T) {
 	go func() {
 		done <- run(ctx, []string{
 			"-addr", "127.0.0.1:0", "-model", "m=" + path,
-			"-chaos-seed", "42", "-window", "5ms", "-grace", "10s", "-timeout", "2s",
+			"-chaos-seed", "42", "-grace", "10s", "-timeout", "2s",
 		}, &stderr, func(addr string) { addrs <- addr })
 	}()
 	var addr string

@@ -73,17 +73,20 @@ type foldResult struct {
 }
 
 // batcher coalesces concurrent fold-in requests against one model into
-// batched FoldIn calls: requests are collected for up to a window (or until
-// maxRows accumulate) and solved as a single stacked matrix, amortizing the
-// masked-matmul cost across callers. The model is immutable (see core.Model),
-// so the single flush goroutine is the only coordination needed.
+// batched FoldIn calls, solved as a single stacked matrix to amortize the
+// masked-matmul cost across callers. Coalescing is work-conserving: the flush
+// goroutine takes the oldest request plus whatever is already queued behind
+// it (up to maxRows) and computes at once, never waiting for company.
+// Requests that arrive during a compute form the next batch, so batches grow
+// with load while a lone request pays no dispatch delay. The model is
+// immutable (see core.Model), so the single flush goroutine is the only
+// coordination needed.
 //
 // The flush goroutine is panic-isolated: a panic inside one batch's compute
 // (a real bug or an injected chaos fault) fails only that batch's parked
 // requests with ErrComputePanic and the goroutine keeps serving.
 type batcher struct {
 	model   *core.Model
-	window  time.Duration
 	maxRows int
 	iters   int
 	metrics *Metrics
@@ -97,7 +100,6 @@ type batcher struct {
 func newBatcher(model *core.Model, cfg Config, metrics *Metrics) *batcher {
 	b := &batcher{
 		model:   model,
-		window:  cfg.Window,
 		maxRows: cfg.MaxBatchRows,
 		iters:   cfg.FoldInIters,
 		metrics: metrics,
@@ -125,14 +127,19 @@ func (b *batcher) Submit(ctx context.Context, rows *mat.Dense, mask *mat.Mask, r
 		b.mu.RUnlock()
 		return foldResult{}, ErrClosed
 	}
+	// Count the request before the send: the flush goroutine may dequeue it
+	// and subtract it at once, and the gauge clamps at zero.
+	if b.metrics != nil {
+		b.metrics.QueueAdd(1)
+	}
 	select {
 	case b.in <- req:
 		b.mu.RUnlock()
-		if b.metrics != nil {
-			b.metrics.QueueAdd(1)
-		}
 	default:
 		b.mu.RUnlock()
+		if b.metrics != nil {
+			b.metrics.QueueAdd(-1)
+		}
 		return foldResult{}, ErrOverloaded
 	}
 	select {
@@ -169,13 +176,12 @@ func (b *batcher) run() {
 	}
 }
 
-// collect gathers requests behind first until the window elapses, maxRows
-// accumulate, or the input channel closes (drain).
+// collect gathers the requests already queued behind first, without
+// waiting, until maxRows accumulate, the queue is empty, or the input
+// channel closes (drain).
 func (b *batcher) collect(first *foldRequest) []*foldRequest {
 	batch := []*foldRequest{first}
 	nrows := first.rows.Rows()
-	timer := time.NewTimer(b.window)
-	defer timer.Stop()
 	for nrows < b.maxRows {
 		select {
 		case req, ok := <-b.in:
@@ -184,7 +190,7 @@ func (b *batcher) collect(first *foldRequest) []*foldRequest {
 			}
 			batch = append(batch, req)
 			nrows += req.rows.Rows()
-		case <-timer.C:
+		default:
 			return batch
 		}
 	}

@@ -3,12 +3,14 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/spatialmf/smfl/internal/core"
 	"github.com/spatialmf/smfl/internal/dataset"
+	"github.com/spatialmf/smfl/internal/faultinject"
 	"github.com/spatialmf/smfl/internal/mat"
 )
 
@@ -33,17 +35,81 @@ func smallModel(t testing.TB) (*core.Model, *mat.Dense) {
 	return model, res.Data.X
 }
 
+// holdFirstBatch arms faultinject.ServeBatch so the next batch to compute
+// blocks inside the hook until release is called; entered delivers that
+// batch's size once it is blocked. While it is held the flush goroutine is busy, so
+// requests submitted meanwhile queue behind it deterministically and the
+// next collect drains them together. Register the batcher's (or registry's)
+// Close with t.Cleanup before calling: the held batch is then released
+// before Close waits for it, even when the test fails early.
+func holdFirstBatch(t testing.TB) (entered <-chan BatchFault, release func()) {
+	t.Helper()
+	in := make(chan BatchFault, 1)
+	gate := make(chan struct{})
+	faultinject.Enable(faultinject.ServeBatch, faultinject.Once(func(payload any) error {
+		in <- *payload.(*BatchFault)
+		<-gate
+		return nil
+	}))
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(func() {
+		release()
+		faultinject.Reset()
+	})
+	return in, release
+}
+
+// awaitHeld waits for the batch holdFirstBatch arms to reach its hook and
+// returns its size.
+func awaitHeld(t testing.TB, entered <-chan BatchFault) BatchFault {
+	t.Helper()
+	select {
+	case f := <-entered:
+		return f
+	case <-time.After(10 * time.Second):
+		t.Fatal("first batch never reached compute")
+		return BatchFault{}
+	}
+}
+
+// awaitQueued waits until n requests sit in the batcher's input queue.
+func awaitQueued(t testing.TB, b *batcher, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(b.in) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests queued, want %d", len(b.in), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// unitRequest is row i of x, fully observed, for tests that enqueue on b.in
+// directly instead of through Submit.
+func unitRequest(x *mat.Dense, i int) *foldRequest {
+	return &foldRequest{rows: x.Slice(i, i+1, 0, 6), mask: mat.FullMask(1, 6), done: make(chan foldResult, 1)}
+}
+
 func TestBatcherCoalesces(t *testing.T) {
 	model, x := smallModel(t)
-	b := newBatcher(model, Config{Window: 50 * time.Millisecond}.withDefaults(), NewMetrics())
-	defer b.Close()
-	// Enqueue on the buffered channel directly so every request is pending
-	// before the window can close — deterministic, unlike goroutine timing.
+	b := newBatcher(model, Config{}.withDefaults(), NewMetrics())
+	t.Cleanup(b.Close)
+	entered, release := holdFirstBatch(t)
+	plug := unitRequest(x, 0)
+	b.in <- plug
+	awaitHeld(t, entered)
+	// Every request is pending before the flush goroutine is free again, so
+	// the next collect takes all of them.
 	const n = 16
 	reqs := make([]*foldRequest, n)
 	for i := range reqs {
-		reqs[i] = &foldRequest{rows: x.Slice(i, i+1, 0, 6), mask: mat.FullMask(1, 6), done: make(chan foldResult, 1)}
+		reqs[i] = unitRequest(x, i)
 		b.in <- reqs[i]
+	}
+	release()
+	if res := <-plug.done; res.err != nil || res.batchRows != 1 {
+		t.Fatalf("held request: batch of %d rows, err %v", res.batchRows, res.err)
 	}
 	for i, req := range reqs {
 		res := <-req.done
@@ -71,12 +137,18 @@ func TestBatcherCoalesces(t *testing.T) {
 
 func TestBatcherFlushesAtMaxRows(t *testing.T) {
 	model, x := smallModel(t)
-	// A very long window: only the maxRows threshold can flush in time.
-	b := newBatcher(model, Config{Window: time.Hour, MaxBatchRows: 4}.withDefaults(), nil)
-	defer b.Close()
+	b := newBatcher(model, Config{MaxBatchRows: 4}.withDefaults(), nil)
+	t.Cleanup(b.Close)
+	entered, release := holdFirstBatch(t)
+	plug := unitRequest(x, 0)
+	b.in <- plug
+	awaitHeld(t, entered)
+	// Twice maxRows queue behind the held batch: collect must cut them into
+	// two full batches rather than one oversized one.
+	const n = 8
 	var wg sync.WaitGroup
-	done := make(chan foldResult, 4)
-	for i := 0; i < 4; i++ {
+	done := make(chan foldResult, n)
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -88,6 +160,8 @@ func TestBatcherFlushesAtMaxRows(t *testing.T) {
 			done <- res
 		}(i)
 	}
+	awaitQueued(t, b, n)
+	release()
 	waited := make(chan struct{})
 	go func() { wg.Wait(); close(waited) }()
 	select {
@@ -103,9 +177,59 @@ func TestBatcherFlushesAtMaxRows(t *testing.T) {
 	}
 }
 
+// TestBatcherLoneRequestNotParked pins the work-conserving policy: a request
+// with nothing queued behind it is solved at once, whatever the deprecated
+// Window says, and its answer is the single-row fold-in bit for bit.
+func TestBatcherLoneRequestNotParked(t *testing.T) {
+	model, x := smallModel(t)
+	cfg := Config{Window: time.Hour}.withDefaults()
+	b := newBatcher(model, cfg, nil)
+	t.Cleanup(b.Close)
+	row := x.Slice(3, 4, 0, 6)
+	mask := mat.FullMask(1, 6)
+	mask.Hide(0, 4)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	res, err := b.Submit(ctx, row, mask, nil)
+	if err != nil {
+		t.Fatalf("lone request: %v", err)
+	}
+	if res.batchRows != 1 {
+		t.Fatalf("lone request served in a batch of %d rows", res.batchRows)
+	}
+	want, err := model.FoldIn(row, mask, cfg.FoldInIters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < want.Cols(); j++ {
+		if got := res.coeff.At(0, j); math.Float64bits(got) != math.Float64bits(want.At(0, j)) {
+			t.Fatalf("coefficient %d = %v, single-row FoldIn gives %v", j, got, want.At(0, j))
+		}
+	}
+}
+
+// BenchmarkBatcherLoneRequest times serial single-row Submits: with nothing
+// to coalesce, each one costs a fold-in plus the hand-off to the flush
+// goroutine and back.
+func BenchmarkBatcherLoneRequest(b *testing.B) {
+	model, x := smallModel(b)
+	bt := newBatcher(model, Config{}.withDefaults(), nil)
+	defer bt.Close()
+	mask := mat.FullMask(1, 6)
+	mask.Hide(0, 4)
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := i % x.Rows()
+		if _, err := bt.Submit(ctx, x.Slice(r, r+1, 0, 6), mask, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestBatcherPropagatesFoldInError(t *testing.T) {
 	model, _ := smallModel(t)
-	b := newBatcher(model, Config{Window: time.Millisecond}.withDefaults(), nil)
+	b := newBatcher(model, Config{}.withDefaults(), nil)
 	defer b.Close()
 	// Wrong column count reaches FoldIn (handlers validate, the batcher
 	// itself must still fail cleanly) and the error fans back out.
@@ -117,12 +241,12 @@ func TestBatcherPropagatesFoldInError(t *testing.T) {
 
 func TestBatcherCloseDrainsAndRejects(t *testing.T) {
 	model, x := smallModel(t)
-	b := newBatcher(model, Config{Window: 20 * time.Millisecond}.withDefaults(), nil)
+	b := newBatcher(model, Config{}.withDefaults(), nil)
 	// Queue a wave on the buffered channel, then Close: every queued request
 	// must be flushed (drained), not dropped.
 	reqs := make([]*foldRequest, 8)
 	for i := range reqs {
-		reqs[i] = &foldRequest{rows: x.Slice(i, i+1, 0, 6), mask: mat.FullMask(1, 6), done: make(chan foldResult, 1)}
+		reqs[i] = unitRequest(x, i)
 		b.in <- reqs[i]
 	}
 	b.Close()
@@ -143,7 +267,7 @@ func TestBatcherCloseDrainsAndRejects(t *testing.T) {
 
 func TestBatcherContextCancel(t *testing.T) {
 	model, x := smallModel(t)
-	b := newBatcher(model, Config{Window: 200 * time.Millisecond}.withDefaults(), nil)
+	b := newBatcher(model, Config{}.withDefaults(), nil)
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -154,7 +278,7 @@ func TestBatcherContextCancel(t *testing.T) {
 
 func TestRegistryLifecycle(t *testing.T) {
 	model, x := smallModel(t)
-	reg := NewRegistry(Config{Window: time.Millisecond, KeepVersions: 2}, nil)
+	reg := NewRegistry(Config{KeepVersions: 2}, nil)
 	defer reg.Close()
 
 	if _, err := reg.Register("", model, ""); err == nil {
@@ -242,7 +366,7 @@ func TestRegistryLifecycle(t *testing.T) {
 
 func TestRegistryRollbackThenRegisterEvicts(t *testing.T) {
 	model, _ := smallModel(t)
-	reg := NewRegistry(Config{Window: time.Millisecond, KeepVersions: 2}, NewMetrics())
+	reg := NewRegistry(Config{KeepVersions: 2}, NewMetrics())
 	defer reg.Close()
 	for i := 0; i < 2; i++ {
 		if _, err := reg.Register("m", model, "p"); err != nil {

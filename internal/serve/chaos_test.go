@@ -37,7 +37,6 @@ func TestChaosSuite(t *testing.T) {
 	path, _, _ := fixture(t)
 	metrics := NewMetrics()
 	registry := NewRegistry(Config{
-		Window:         2 * time.Millisecond,
 		DefaultTimeout: 2 * time.Second,
 		Health: HealthConfig{
 			WindowSize: 16, MinSamples: 8, FailureRate: 0.5,

@@ -75,7 +75,7 @@ func TestWriteOverloadedClampsToBudget(t *testing.T) {
 }
 
 func TestBadTimeoutMsRejected(t *testing.T) {
-	ts, _, _ := lifecycleServer(t, Config{Window: time.Millisecond})
+	ts, _, _ := lifecycleServer(t, Config{})
 	for _, v := range []string{"nope", "-5", "0", "1.5"} {
 		resp, doc := postRaw(t, ts.Client(), ts.URL+"/v1/models/air/impute?timeout_ms="+v, lifecycleRow(t, ts))
 		if resp.StatusCode != http.StatusBadRequest {
@@ -91,7 +91,7 @@ func TestBadTimeoutMsRejected(t *testing.T) {
 // per-request deadline bounds it with an honest 504, the timeout metric
 // moves, and the very next request is served normally.
 func TestImputeDeadlineExceeded504(t *testing.T) {
-	ts, _, metrics := lifecycleServer(t, Config{Window: time.Millisecond})
+	ts, _, metrics := lifecycleServer(t, Config{})
 	defer faultinject.Reset()
 	faultinject.Enable(faultinject.ServeBatch, faultinject.Once(func(any) error {
 		time.Sleep(400 * time.Millisecond)
@@ -119,19 +119,29 @@ func TestImputeDeadlineExceeded504(t *testing.T) {
 }
 
 // TestParkedRequestDroppedReleasesCost is the coalescer-lifecycle guarantee:
-// a request that times out while parked in the batch window is dropped from
-// the batch — never computed — and its admission cost returns to the window.
+// a request that times out while queued behind a busy batch is dropped from
+// the next batch — never computed — and its admission cost returns to the
+// window.
 func TestParkedRequestDroppedReleasesCost(t *testing.T) {
-	ts, srv, metrics := lifecycleServer(t, Config{
-		Window:       400 * time.Millisecond, // park far longer than the request's deadline
-		MaxBatchRows: 256,
-	})
+	ts, srv, metrics := lifecycleServer(t, Config{})
+	entered, release := holdFirstBatch(t)
+	held := make(chan int, 1)
+	go func() {
+		resp, _ := postRaw(t, ts.Client(), ts.URL+"/v1/models/air/impute", lifecycleRow(t, ts))
+		held <- resp.StatusCode
+	}()
+	awaitHeld(t, entered)
+	// Queued behind the held batch far longer than its own deadline.
 	resp, _ := postRaw(t, ts.Client(), ts.URL+"/v1/models/air/impute?timeout_ms=40", lifecycleRow(t, ts))
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", resp.StatusCode)
 	}
-	// The flush fires at ~400ms and must release the dropped request's cost
-	// without computing it.
+	release()
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held request: status %d, want 200", code)
+	}
+	// The next flush must release the dropped request's cost without
+	// computing it.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if _, admitted := srv.Admission().State(); admitted == 0 {
@@ -144,8 +154,8 @@ func TestParkedRequestDroppedReleasesCost(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	snap := metrics.Snapshot()
-	if snap.RowsTotal != 0 {
-		t.Fatalf("rows_total = %d — the expired request was computed and discarded instead of dropped", snap.RowsTotal)
+	if snap.RowsTotal != 1 {
+		t.Fatalf("rows_total = %d, want 1 (the held batch) — the expired request was computed and discarded instead of dropped", snap.RowsTotal)
 	}
 	if snap.TimeoutsTotal != 1 {
 		t.Fatalf("timeouts_total = %d, want 1", snap.TimeoutsTotal)
@@ -158,7 +168,7 @@ func TestParkedRequestDroppedReleasesCost(t *testing.T) {
 func TestRetryAfterClampedToRequestBudget(t *testing.T) {
 	path, _, _ := fixture(t)
 	metrics := NewMetrics()
-	registry := NewRegistry(Config{Window: time.Millisecond}, metrics)
+	registry := NewRegistry(Config{}, metrics)
 	defer registry.Close()
 	stuffed, err := registry.LoadFile("air", path)
 	if err != nil {
@@ -192,7 +202,7 @@ func TestRetryAfterClampedToRequestBudget(t *testing.T) {
 // blast radius: that batch's requests fail with 500, panics_total moves, and
 // the daemon keeps serving.
 func TestPanicIsolation(t *testing.T) {
-	ts, srv, metrics := lifecycleServer(t, Config{Window: time.Millisecond})
+	ts, srv, metrics := lifecycleServer(t, Config{})
 	defer faultinject.Reset()
 	faultinject.Enable(faultinject.ServeBatch, faultinject.Once(func(any) error {
 		panic("injected: batch compute blew up")
@@ -223,7 +233,6 @@ func TestPanicIsolation(t *testing.T) {
 // and once the fault clears half-open probes close the breaker again.
 func TestBreakerTripDegradedAndRecovery(t *testing.T) {
 	ts, srv, metrics := lifecycleServer(t, Config{
-		Window: time.Millisecond,
 		Health: HealthConfig{
 			WindowSize: 8, MinSamples: 2, FailureRate: 0.5,
 			ProbeEvery: 20 * time.Millisecond, ProbeSuccesses: 2,
@@ -324,7 +333,6 @@ func TestBreakerTripDegradedAndRecovery(t *testing.T) {
 // the breaker is open, requests get clean 503s instead of fallback answers.
 func TestDegradedFallbackOff(t *testing.T) {
 	ts, srv, _ := lifecycleServer(t, Config{
-		Window:           time.Millisecond,
 		DegradedFallback: FallbackOff,
 		Health: HealthConfig{
 			WindowSize: 8, MinSamples: 2, FailureRate: 0.5,
@@ -355,7 +363,7 @@ func TestDegradedFallbackOff(t *testing.T) {
 // TestDrainingRejectsImpute asserts BeginDrain semantics: /healthz flips to
 // 503 "draining" and new impute requests get clean 503s.
 func TestDrainingRejectsImpute(t *testing.T) {
-	ts, srv, _ := lifecycleServer(t, Config{Window: time.Millisecond})
+	ts, srv, _ := lifecycleServer(t, Config{})
 	srv.BeginDrain()
 	resp, err := ts.Client().Get(ts.URL + "/healthz")
 	if err != nil {
@@ -384,7 +392,7 @@ func TestDrainingRejectsImpute(t *testing.T) {
 // and asserts the client sees a transport error — never a truncated JSON
 // document it could half-parse.
 func TestWriteFaultAbortsConnectionNoTornJSON(t *testing.T) {
-	ts, _, _ := lifecycleServer(t, Config{Window: time.Millisecond})
+	ts, _, _ := lifecycleServer(t, Config{})
 	defer faultinject.Reset()
 	faultinject.Enable(faultinject.ServeWrite, faultinject.Once(faultinject.Fail(errors.New("injected: write abort"))))
 	body, err := json.Marshal(lifecycleRow(t, ts))
@@ -411,7 +419,7 @@ func TestWriteFaultAbortsConnectionNoTornJSON(t *testing.T) {
 func TestRegistryLoadFaultKeepsPreviousVersion(t *testing.T) {
 	path, _, _ := fixture(t)
 	metrics := NewMetrics()
-	registry := NewRegistry(Config{Window: time.Millisecond}, metrics)
+	registry := NewRegistry(Config{}, metrics)
 	defer registry.Close()
 	if _, err := registry.LoadFile("air", path); err != nil {
 		t.Fatal(err)
@@ -436,7 +444,7 @@ func TestRegistryLoadFaultKeepsPreviousVersion(t *testing.T) {
 func TestFallbackCompleteMeans(t *testing.T) {
 	path, _, _ := fixture(t)
 	metrics := NewMetrics()
-	registry := NewRegistry(Config{Window: time.Millisecond}, metrics)
+	registry := NewRegistry(Config{}, metrics)
 	defer registry.Close()
 	entry, err := registry.LoadFile("air", path)
 	if err != nil {

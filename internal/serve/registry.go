@@ -33,8 +33,13 @@ var (
 
 // Config tunes the serving layer. Zero values take the defaults below.
 type Config struct {
-	Window       time.Duration   // batch coalescing window (default 2ms)
-	MaxBatchRows int             // flush once this many rows are pending (default 256)
+	// Window is ignored: a batch flushes as soon as the model's fold-in
+	// goroutine is free (see batcher).
+	//
+	// Deprecated: ignored; kept only so existing callers still compile.
+	Window time.Duration
+
+	MaxBatchRows int             // a batch takes no more requests once it holds this many rows (default 256)
 	QueueDepth   int             // per-model pending-request cap (default 1024)
 	FoldInIters  int             // FoldIn iteration cap per batch (default 100)
 	KeepVersions int             // model versions retained per name for rollback/pinning (default 3)
@@ -47,9 +52,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 2 * time.Millisecond
-	}
 	if c.MaxBatchRows <= 0 {
 		c.MaxBatchRows = 256
 	}

@@ -80,9 +80,10 @@ func postImpute(t *testing.T, client *http.Client, url string, req imputeRequest
 func TestServerEndToEnd(t *testing.T) {
 	path, orig, tail := fixture(t)
 	metrics := NewMetrics()
-	registry := NewRegistry(Config{Window: 20 * time.Millisecond, FoldInIters: 100}, metrics)
-	defer registry.Close()
-	if _, err := registry.LoadFile("air", path); err != nil {
+	registry := NewRegistry(Config{FoldInIters: 100}, metrics)
+	t.Cleanup(registry.Close)
+	entry, err := registry.LoadFile("air", path)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -97,7 +98,12 @@ func TestServerEndToEnd(t *testing.T) {
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	// Phase 1: 48 concurrent single-row requests, each hiding one non-SI
-	// cell of a held-out row.
+	// cell of a held-out row. The first is held in its batch compute while
+	// the other 47 queue behind it, one after another, and coalesce into
+	// one batch. The fixed arrival order pins each row's batch position,
+	// which draws the row's random fold-in start, so the quality check
+	// below reads the same numbers on every run.
+	entered, release := holdFirstBatch(t)
 	const nreq = 48
 	_, cols := orig.Dims()
 	type outcome struct {
@@ -105,13 +111,11 @@ func TestServerEndToEnd(t *testing.T) {
 		baseErr float64 // |column-mean − truth| baseline on the same cell
 	}
 	outcomes := make([]outcome, nreq)
-	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < nreq; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			<-start
 			row := tail + i%(orig.Rows()-tail)
 			hide := 2 + i%(cols-2)
 			cells := make([]*float64, cols)
@@ -148,8 +152,13 @@ func TestServerEndToEnd(t *testing.T) {
 			mean /= float64(tail)
 			outcomes[i] = outcome{predErr: math.Abs(out.Rows[0][hide] - truth), baseErr: math.Abs(mean - truth)}
 		}(i)
+		if i == 0 {
+			awaitHeld(t, entered)
+		} else {
+			awaitQueued(t, entry.batcher, i)
+		}
 	}
-	close(start)
+	release()
 	wg.Wait()
 	var predMAE, baseMAE float64
 	for _, o := range outcomes {
@@ -162,7 +171,8 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("served imputations MAE %v not better than column-mean baseline %v", predMAE, baseMAE)
 	}
 
-	// Metrics: the coalescing window must have produced multi-row batches.
+	// Metrics: the requests queued behind the held batch must have
+	// coalesced into multi-row batches.
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +197,10 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// Phase 2: shutdown must drain in-flight requests. Launch a wave that
-	// parks inside the 20ms batch window, wait until every handler is in
-	// flight, then Shutdown and require all of them to succeed.
+	// queues behind a held batch, release it only once Shutdown has begun,
+	// and require all of them to succeed.
+	entered, release = holdFirstBatch(t)
+	server.RegisterOnShutdown(release)
 	const drainReq = 8
 	codes := make(chan int, drainReq)
 	for i := 0; i < drainReq; i++ {
@@ -203,10 +215,9 @@ func TestServerEndToEnd(t *testing.T) {
 			codes <- resp.StatusCode
 		}(i)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for metrics.Inflight() < drainReq && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Microsecond)
-	}
+	// Requests that reach the flush goroutine together share the held batch.
+	held := awaitHeld(t, entered)
+	awaitQueued(t, entry.batcher, drainReq-held.Requests)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := server.Shutdown(shutdownCtx); err != nil {
@@ -225,7 +236,7 @@ func TestServerEndToEnd(t *testing.T) {
 func TestServerFullyObservedRoundTrip(t *testing.T) {
 	path, orig, tail := fixture(t)
 	metrics := NewMetrics()
-	registry := NewRegistry(Config{Window: time.Millisecond}, metrics)
+	registry := NewRegistry(Config{}, metrics)
 	defer registry.Close()
 	if _, err := registry.LoadFile("air", path); err != nil {
 		t.Fatal(err)
@@ -260,7 +271,7 @@ func TestServerFullyObservedRoundTrip(t *testing.T) {
 func TestServerValidationAndErrors(t *testing.T) {
 	path, _, _ := fixture(t)
 	metrics := NewMetrics()
-	registry := NewRegistry(Config{Window: time.Millisecond}, metrics)
+	registry := NewRegistry(Config{}, metrics)
 	defer registry.Close()
 	if _, err := registry.LoadFile("air", path); err != nil {
 		t.Fatal(err)
@@ -307,7 +318,7 @@ func TestServerValidationAndErrors(t *testing.T) {
 func TestServerAdminLoadReloadRemove(t *testing.T) {
 	path, orig, tail := fixture(t)
 	metrics := NewMetrics()
-	registry := NewRegistry(Config{Window: time.Millisecond}, metrics)
+	registry := NewRegistry(Config{}, metrics)
 	defer registry.Close()
 	if _, err := registry.LoadFile("air", path); err != nil {
 		t.Fatal(err)
@@ -469,17 +480,16 @@ func checkOverloaded(t *testing.T, resp *http.Response, doc map[string]any) int 
 func TestServerOverloadShedsAndRecovers(t *testing.T) {
 	path, orig, tail := fixture(t)
 	metrics := NewMetrics()
-	// A window that fits one full-row request (cost 6 of 8) but not two, a
-	// long coalescing window to park the first request in flight, and an
-	// adaptation cadence pushed out past the test so the window stays put.
+	// A window that fits one full-row request (cost 6 of 8) but not two,
+	// and an adaptation cadence pushed out past the test so the window stays
+	// put.
 	registry := NewRegistry(Config{
-		Window: 250 * time.Millisecond,
 		Admission: AdmissionConfig{
 			MaxCost: 8, MinCost: 8,
 			TargetP95: time.Hour, AdaptEvery: time.Hour,
 		},
 	}, metrics)
-	defer registry.Close()
+	t.Cleanup(registry.Close)
 	if _, err := registry.LoadFile("air", path); err != nil {
 		t.Fatal(err)
 	}
@@ -495,25 +505,17 @@ func TestServerOverloadShedsAndRecovers(t *testing.T) {
 
 	srv := NewServer(registry, metrics)
 	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
 	client := ts.Client()
 
-	// Park one admitted request inside the coalescing window.
+	// Hold one admitted request in its batch compute.
+	entered, release := holdFirstBatch(t)
 	blocked := make(chan int, 1)
 	go func() {
 		_, resp := postImpute(t, client, ts.URL+"/v1/models/air/impute", imputeRequest{Rows: [][]*float64{fullRow(orig, tail)}})
 		blocked <- resp.StatusCode
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, admitted := srv.Admission().State(); admitted > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("parked request never admitted")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	awaitHeld(t, entered)
 
 	// Overload wave: every request must shed with the full 429 contract.
 	const waveSize = 5
@@ -536,6 +538,7 @@ func TestServerOverloadShedsAndRecovers(t *testing.T) {
 	for s := range sheds {
 		checkOverloaded(t, s.resp, s.doc)
 	}
+	release()
 	if code := <-blocked; code != http.StatusOK {
 		t.Fatalf("parked request shed alongside the wave: status %d", code)
 	}
@@ -573,7 +576,7 @@ func TestServerReloadRollbackUnderLoad(t *testing.T) {
 	// KeepVersions exceeds the number of reloads below so no batcher is ever
 	// evicted mid-flight: with retention this generous, zero requests may
 	// fail for any reason.
-	registry := NewRegistry(Config{Window: time.Millisecond, KeepVersions: 16}, metrics)
+	registry := NewRegistry(Config{KeepVersions: 16}, metrics)
 	defer registry.Close()
 	if _, err := registry.LoadFile("air", path); err != nil {
 		t.Fatal(err)
@@ -706,7 +709,7 @@ func TestRegistryRefusesPartialModels(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	registry := NewRegistry(Config{Window: time.Millisecond}, nil)
+	registry := NewRegistry(Config{}, nil)
 	defer registry.Close()
 	if _, err := registry.Register("air", model, partialPath); !errors.Is(err, ErrPartialModel) {
 		t.Fatalf("Register(partial) error = %v, want ErrPartialModel", err)

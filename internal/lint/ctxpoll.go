@@ -7,15 +7,14 @@ import (
 
 // ctxPackages are the packages whose exported context-taking entry points
 // must stay cancellable: a fit that takes a ctx but never polls it inside
-// its iteration loop hangs SIGTERM drains and breaks the PR 4 contract that
+// its iteration loop hangs SIGTERM drains and breaks the contract that
 // cancellation surfaces ErrInterrupted at an iteration boundary. The serve
-// and client packages joined the scope with the deadline-aware request
-// lifecycle: a serve-path loop that ignores its request context outlives
-// the caller's deadline and turns honest 504s into hangs.
+// package joined the scope with the deadline-aware request lifecycle: a
+// serve-path loop that ignores its request context outlives the caller's
+// deadline and turns honest 504s into hangs.
 var ctxPackages = []string{
 	"internal/core",
 	"internal/serve",
-	"internal/client",
 }
 
 var checkCtxPoll = Check{

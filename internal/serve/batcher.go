@@ -129,17 +129,13 @@ func (b *batcher) Submit(ctx context.Context, rows *mat.Dense, mask *mat.Mask, r
 	}
 	// Count the request before the send: the flush goroutine may dequeue it
 	// and subtract it at once, and the gauge clamps at zero.
-	if b.metrics != nil {
-		b.metrics.QueueAdd(1)
-	}
+	b.metrics.QueueAdd(1)
 	select {
 	case b.in <- req:
 		b.mu.RUnlock()
 	default:
 		b.mu.RUnlock()
-		if b.metrics != nil {
-			b.metrics.QueueAdd(-1)
-		}
+		b.metrics.QueueAdd(-1)
 		return foldResult{}, ErrOverloaded
 	}
 	select {
@@ -201,9 +197,7 @@ func (b *batcher) collect(first *foldRequest) []*foldRequest {
 // FoldIn for the survivors under the batch deadline, and scatters each
 // caller's slice of the result back through its done channel.
 func (b *batcher) flush(batch []*foldRequest) {
-	if b.metrics != nil {
-		b.metrics.QueueAdd(-len(batch))
-	}
+	b.metrics.QueueAdd(-len(batch))
 	live := batch[:0]
 	for _, req := range batch {
 		if req.expired() {
@@ -225,9 +219,7 @@ func (b *batcher) flush(batch []*foldRequest) {
 		masks[i] = req.mask
 		total += req.rows.Rows()
 	}
-	if b.metrics != nil {
-		b.metrics.ObserveBatch(total)
-	}
+	b.metrics.ObserveBatch(total)
 	ctx, cancel := batchContext(live)
 	completed, u, err := b.compute(ctx, blocks, masks)
 	cancel()
@@ -278,9 +270,7 @@ func batchContext(batch []*foldRequest) (context.Context, context.CancelFunc) {
 func (b *batcher) compute(ctx context.Context, blocks []*mat.Dense, masks []*mat.Mask) (completed, u *mat.Dense, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			if b.metrics != nil {
-				b.metrics.PanicRecovered()
-			}
+			b.metrics.PanicRecovered()
 			completed, u = nil, nil
 			err = fmt.Errorf("%w: %v", ErrComputePanic, p)
 		}

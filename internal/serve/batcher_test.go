@@ -137,7 +137,7 @@ func TestBatcherCoalesces(t *testing.T) {
 
 func TestBatcherFlushesAtMaxRows(t *testing.T) {
 	model, x := smallModel(t)
-	b := newBatcher(model, Config{MaxBatchRows: 4}.withDefaults(), nil)
+	b := newBatcher(model, Config{MaxBatchRows: 4}.withDefaults(), NewMetrics())
 	t.Cleanup(b.Close)
 	entered, release := holdFirstBatch(t)
 	plug := unitRequest(x, 0)
@@ -183,7 +183,7 @@ func TestBatcherFlushesAtMaxRows(t *testing.T) {
 func TestBatcherLoneRequestNotParked(t *testing.T) {
 	model, x := smallModel(t)
 	cfg := Config{Window: time.Hour}.withDefaults()
-	b := newBatcher(model, cfg, nil)
+	b := newBatcher(model, cfg, NewMetrics())
 	t.Cleanup(b.Close)
 	row := x.Slice(3, 4, 0, 6)
 	mask := mat.FullMask(1, 6)
@@ -213,7 +213,7 @@ func TestBatcherLoneRequestNotParked(t *testing.T) {
 // goroutine and back.
 func BenchmarkBatcherLoneRequest(b *testing.B) {
 	model, x := smallModel(b)
-	bt := newBatcher(model, Config{}.withDefaults(), nil)
+	bt := newBatcher(model, Config{}.withDefaults(), NewMetrics())
 	defer bt.Close()
 	mask := mat.FullMask(1, 6)
 	mask.Hide(0, 4)
@@ -229,7 +229,7 @@ func BenchmarkBatcherLoneRequest(b *testing.B) {
 
 func TestBatcherPropagatesFoldInError(t *testing.T) {
 	model, _ := smallModel(t)
-	b := newBatcher(model, Config{}.withDefaults(), nil)
+	b := newBatcher(model, Config{}.withDefaults(), NewMetrics())
 	defer b.Close()
 	// Wrong column count reaches FoldIn (handlers validate, the batcher
 	// itself must still fail cleanly) and the error fans back out.
@@ -241,7 +241,7 @@ func TestBatcherPropagatesFoldInError(t *testing.T) {
 
 func TestBatcherCloseDrainsAndRejects(t *testing.T) {
 	model, x := smallModel(t)
-	b := newBatcher(model, Config{}.withDefaults(), nil)
+	b := newBatcher(model, Config{}.withDefaults(), NewMetrics())
 	// Queue a wave on the buffered channel, then Close: every queued request
 	// must be flushed (drained), not dropped.
 	reqs := make([]*foldRequest, 8)
@@ -267,7 +267,7 @@ func TestBatcherCloseDrainsAndRejects(t *testing.T) {
 
 func TestBatcherContextCancel(t *testing.T) {
 	model, x := smallModel(t)
-	b := newBatcher(model, Config{}.withDefaults(), nil)
+	b := newBatcher(model, Config{}.withDefaults(), NewMetrics())
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -278,7 +278,7 @@ func TestBatcherContextCancel(t *testing.T) {
 
 func TestRegistryLifecycle(t *testing.T) {
 	model, x := smallModel(t)
-	reg := NewRegistry(Config{KeepVersions: 2}, nil)
+	reg := NewRegistry(Config{KeepVersions: 2}, NewMetrics())
 	defer reg.Close()
 
 	if _, err := reg.Register("", model, ""); err == nil {
@@ -396,7 +396,7 @@ func TestRegistryRollbackThenRegisterEvicts(t *testing.T) {
 func TestRegistryNormValidation(t *testing.T) {
 	model, _ := smallModel(t)
 	model.Norm = &core.Norm{Mins: []float64{0}, Maxs: []float64{1}} // wrong width
-	reg := NewRegistry(Config{}, nil)
+	reg := NewRegistry(Config{}, NewMetrics())
 	defer reg.Close()
 	if _, err := reg.Register("m", model, ""); err == nil {
 		t.Fatal("expected norm width error")
@@ -418,12 +418,12 @@ func TestMetricsHistogram(t *testing.T) {
 	m := NewMetrics()
 	m.BeginRequest()
 	m.BeginRequest()
-	if m.Inflight() != 2 {
+	if m.Snapshot().Inflight != 2 {
 		t.Fatal("inflight not tracked")
 	}
 	m.EndRequest("impute", 2*time.Millisecond, false)
 	m.EndRequest("impute", 3*time.Millisecond, true)
-	if m.Inflight() != 0 {
+	if m.Snapshot().Inflight != 0 {
 		t.Fatal("inflight not released")
 	}
 	m.ObserveBatch(8)

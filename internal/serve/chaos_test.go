@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/spatialmf/smfl/internal/client"
 	"github.com/spatialmf/smfl/internal/faultinject"
 )
 
@@ -162,32 +160,28 @@ func TestChaosSuite(t *testing.T) {
 
 	t.Logf("chaos phase: %d served (%d degraded), %d shed, %d transport errors; panics=%d timeouts=%d trips=%d",
 		served.Load(), degradedSeen.Load(), shedSeen.Load(), transportErrs.Load(),
-		metrics.Snapshot().PanicsTotal, metrics.Snapshot().TimeoutsTotal, srv.Health().Trips())
+		metrics.Snapshot().PanicsTotal, metrics.Snapshot().TimeoutsTotal, srv.health.Trips())
 	if served.Load() == 0 {
 		t.Fatal("no request was ever served during the chaos phase")
 	}
 
-	// Faults off: the breaker must close and real serving must resume. Drive
-	// recovery through the retrying client the e2e tests share.
+	// Faults off: the breaker must close and real serving must resume. The
+	// loop retries until the half-open probes succeed.
 	disarm()
-	rc := client.New(client.Config{HTTP: ts.Client(), Seed: 42, MaxAttempts: 3})
-	recoverCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	for srv.Health().State() != Healthy {
-		if recoverCtx.Err() != nil {
-			t.Fatalf("server never returned to healthy (state %v, breaker %v)", srv.Health().State(), srv.Health().Breaker())
+	recoverBy := time.Now().Add(15 * time.Second)
+	for srv.health.State() != Healthy {
+		if time.Now().After(recoverBy) {
+			t.Fatalf("server never returned to healthy (state %v, breaker %v)", srv.health.State(), srv.health.Breaker())
 		}
-		rc.PostJSON(recoverCtx, ts.URL+"/v1/models/air/impute", lifecycleRow(t, ts), nil)
+		if resp, err := ts.Client().Post(ts.URL+"/v1/models/air/impute", "application/json", bytes.NewReader(reqBody)); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	var final struct {
-		Degraded bool        `json:"degraded"`
-		Rows     [][]float64 `json:"rows"`
-		Version  int         `json:"version"`
-	}
-	status, err := rc.PostJSON(recoverCtx, ts.URL+"/v1/models/air/impute", lifecycleRow(t, ts), &final)
-	if err != nil || status != http.StatusOK {
-		t.Fatalf("post-recovery impute: %d, %v", status, err)
+	final, resp := postImpute(t, ts.Client(), ts.URL+"/v1/models/air/impute", lifecycleRow(t, ts))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-recovery impute: status %d", resp.StatusCode)
 	}
 	if final.Degraded || len(final.Rows) != 1 || final.Version < 1 {
 		t.Fatalf("post-recovery response %+v, want a real versioned answer", final)
@@ -202,11 +196,11 @@ func TestChaosSuite(t *testing.T) {
 	// Every admitted cost was released: nothing leaks in flight once quiet.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, admitted := srv.Admission().State(); admitted == 0 {
+		if _, admitted := srv.admission.State(); admitted == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			_, admitted := srv.Admission().State()
+			_, admitted := srv.admission.State()
 			t.Fatalf("admission cost leaked: %d still in flight after quiesce", admitted)
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -214,7 +208,7 @@ func TestChaosSuite(t *testing.T) {
 	if qd := metrics.QueueDepth(); qd != 0 {
 		t.Fatalf("queue depth %d after quiesce", qd)
 	}
-	if hz := srv.Health().State(); hz != Healthy {
+	if hz := srv.health.State(); hz != Healthy {
 		t.Fatalf("final health %v, want healthy", hz)
 	}
 }

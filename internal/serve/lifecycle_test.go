@@ -87,6 +87,26 @@ func TestBadTimeoutMsRejected(t *testing.T) {
 	}
 }
 
+// TestTimeoutMsClampsToMax pins the ?timeout_ms= ceiling for overrides so
+// large that their Duration would wrap negative.
+func TestTimeoutMsClampsToMax(t *testing.T) {
+	metrics := NewMetrics()
+	srv := NewServer(NewRegistry(Config{}, metrics), metrics)
+	cases := map[string]time.Duration{
+		"1500":                1500 * time.Millisecond,
+		"60001":               time.Minute,
+		"9223372036854":       time.Minute,
+		"10000000000000":      time.Minute,
+		"9223372036854775807": time.Minute, // MaxInt64
+	}
+	for v, want := range cases {
+		d, explicit, err := srv.requestTimeout(httptest.NewRequest(http.MethodPost, "/?timeout_ms="+v, nil))
+		if err != nil || !explicit || d != want {
+			t.Errorf("timeout_ms=%s resolved to %v (explicit %v, err %v), want %v", v, d, explicit, err, want)
+		}
+	}
+}
+
 // TestImputeDeadlineExceeded504 injects a slow batch compute and asserts the
 // per-request deadline bounds it with an honest 504, the timeout metric
 // moves, and the very next request is served normally.
@@ -144,11 +164,11 @@ func TestParkedRequestDroppedReleasesCost(t *testing.T) {
 	// computing it.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, admitted := srv.Admission().State(); admitted == 0 {
+		if _, admitted := srv.admission.State(); admitted == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			_, admitted := srv.Admission().State()
+			_, admitted := srv.admission.State()
 			t.Fatalf("dropped request's cost never released (still %d in flight)", admitted)
 		}
 		time.Sleep(time.Millisecond)
@@ -177,7 +197,7 @@ func TestRetryAfterClampedToRequestBudget(t *testing.T) {
 	// Replace the batcher with a zero-capacity one so every request sheds on
 	// the queue-full path, whose hint comes from Admission.RetryAfter.
 	stuffed.batcher.Close()
-	stuffed.batcher = &batcher{in: make(chan *foldRequest)}
+	stuffed.batcher = &batcher{in: make(chan *foldRequest), metrics: metrics}
 	srv := NewServer(registry, metrics)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -218,8 +238,8 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatalf("panics_total = %d, want 1", got)
 	}
 	// One contained panic must not trip the breaker or kill the flush loop.
-	if srv.Health().State() != Healthy {
-		t.Fatalf("health %v after one contained panic", srv.Health().State())
+	if srv.health.State() != Healthy {
+		t.Fatalf("health %v after one contained panic", srv.health.State())
 	}
 	resp2, _ := postRaw(t, ts.Client(), ts.URL+"/v1/models/air/impute", lifecycleRow(t, ts))
 	if resp2.StatusCode != http.StatusOK {
@@ -247,7 +267,7 @@ func TestBreakerTripDegradedAndRecovery(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		resp, _ := postRaw(t, ts.Client(), ts.URL+"/v1/models/air/impute", lifecycleRow(t, ts))
 		resp.Body.Close()
-		if srv.Health().State() == Degraded {
+		if srv.health.State() == Degraded {
 			tripped = true
 			break
 		}
@@ -258,8 +278,8 @@ func TestBreakerTripDegradedAndRecovery(t *testing.T) {
 	if !tripped {
 		t.Fatal("breaker never tripped under persistent failures")
 	}
-	if srv.Health().Trips() != 1 {
-		t.Fatalf("trips = %d", srv.Health().Trips())
+	if srv.health.Trips() != 1 {
+		t.Fatalf("trips = %d", srv.health.Trips())
 	}
 
 	// Degraded requests answer from the fallback, marked as such, without
@@ -311,9 +331,9 @@ func TestBreakerTripDegradedAndRecovery(t *testing.T) {
 	// Clear the fault; half-open probes must close the breaker.
 	faultinject.Reset()
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.Health().State() != Healthy {
+	for srv.health.State() != Healthy {
 		if time.Now().After(deadline) {
-			t.Fatalf("breaker never closed after the fault cleared (state %v, breaker %v)", srv.Health().State(), srv.Health().Breaker())
+			t.Fatalf("breaker never closed after the fault cleared (state %v, breaker %v)", srv.health.State(), srv.health.Breaker())
 		}
 		resp, _ := postRaw(t, ts.Client(), ts.URL+"/v1/models/air/impute", lifecycleRow(t, ts))
 		resp.Body.Close()
@@ -341,11 +361,11 @@ func TestDegradedFallbackOff(t *testing.T) {
 	})
 	defer faultinject.Reset()
 	faultinject.Enable(faultinject.ServeBatch, faultinject.Fail(errors.New("injected")))
-	for i := 0; i < 10 && srv.Health().State() != Degraded; i++ {
+	for i := 0; i < 10 && srv.health.State() != Degraded; i++ {
 		resp, _ := postRaw(t, ts.Client(), ts.URL+"/v1/models/air/impute", lifecycleRow(t, ts))
 		resp.Body.Close()
 	}
-	if srv.Health().State() != Degraded {
+	if srv.health.State() != Degraded {
 		t.Fatal("breaker never tripped")
 	}
 	resp, doc := postRaw(t, ts.Client(), ts.URL+"/v1/models/air/impute", lifecycleRow(t, ts))

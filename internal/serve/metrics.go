@@ -118,13 +118,6 @@ func (m *Metrics) EndRequest(endpoint string, d time.Duration, isError bool) {
 	ep.latency.observe(float64(d) / float64(time.Millisecond))
 }
 
-// Inflight returns the number of requests currently being handled.
-func (m *Metrics) Inflight() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.inflight
-}
-
 // ObserveBatch records one coalesced FoldIn flush of the given row count.
 func (m *Metrics) ObserveBatch(rows int) {
 	m.mu.Lock()

@@ -122,7 +122,7 @@ type Registry struct {
 	models map[string]*modelVersions
 }
 
-// NewRegistry returns an empty registry; metrics may be nil.
+// NewRegistry returns an empty registry; metrics must not be nil.
 func NewRegistry(cfg Config, metrics *Metrics) *Registry {
 	return &Registry{cfg: cfg.withDefaults(), metrics: metrics, models: make(map[string]*modelVersions)}
 }
@@ -179,9 +179,7 @@ func (r *Registry) Register(name string, model *core.Model, path string) (*Entry
 		mv.active--
 	}
 	r.mu.Unlock()
-	if r.metrics != nil {
-		r.metrics.SetModelVersion(name, entry.Version)
-	}
+	r.metrics.SetModelVersion(name, entry.Version)
 	for _, e := range evicted {
 		e.batcher.Close()
 	}
@@ -223,9 +221,7 @@ func (r *Registry) Rollback(name string) (*Entry, error) {
 	mv.active--
 	e := mv.entries[mv.active]
 	r.mu.Unlock()
-	if r.metrics != nil {
-		r.metrics.SetModelVersion(name, e.Version)
-	}
+	r.metrics.SetModelVersion(name, e.Version)
 	return e, nil
 }
 
@@ -284,9 +280,7 @@ func (r *Registry) Remove(name string) bool {
 	if mv == nil {
 		return false
 	}
-	if r.metrics != nil {
-		r.metrics.DropModel(name)
-	}
+	r.metrics.DropModel(name)
 	for _, e := range mv.entries {
 		e.batcher.Close()
 	}
@@ -320,9 +314,7 @@ func (r *Registry) Close() {
 	r.models = make(map[string]*modelVersions)
 	r.mu.Unlock()
 	for name, mv := range models {
-		if r.metrics != nil {
-			r.metrics.DropModel(name)
-		}
+		r.metrics.DropModel(name)
 		for _, e := range mv.entries {
 			e.batcher.Close()
 		}

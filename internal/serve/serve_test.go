@@ -315,6 +315,120 @@ func TestServerValidationAndErrors(t *testing.T) {
 	}
 }
 
+// TestOverflowingCellRejectedAlone queues a well-formed request behind a
+// held batch, next to one whose observed value overflows the training
+// normalization. The hostile request must get its own 400 and leave its
+// batch-mate a 200: once stacked, FoldIn would reject the whole batch.
+func TestOverflowingCellRejectedAlone(t *testing.T) {
+	path, _, _ := fixture(t)
+	model, err := core.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model.Norm.Maxs[4] = model.Norm.Mins[4] + 0.5 // a training span under 1
+	metrics := NewMetrics()
+	registry := NewRegistry(Config{}, metrics)
+	t.Cleanup(registry.Close)
+	entry, err := registry.Register("air", model, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(registry, metrics).Handler())
+	t.Cleanup(ts.Close)
+	post := func(req imputeRequest, code chan<- int) {
+		body, _ := json.Marshal(req) // finite values always encode
+		resp, err := ts.Client().Post(ts.URL+"/v1/models/air/impute", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			code <- 0
+			return
+		}
+		resp.Body.Close()
+		code <- resp.StatusCode
+	}
+
+	entered, release := holdFirstBatch(t)
+	held, good, hostile := make(chan int, 1), make(chan int, 1), make(chan int, 1)
+	go post(lifecycleRow(t, ts), held)
+	awaitHeld(t, entered)
+	go post(lifecycleRow(t, ts), good)
+	awaitQueued(t, entry.batcher, 1)
+	bad := lifecycleRow(t, ts)
+	*bad.Rows[0][4] = math.MaxFloat64
+	go post(bad, hostile)
+	deadline := time.Now().Add(10 * time.Second)
+	for len(hostile) == 0 && len(entry.batcher.in) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("hostile request neither answered nor queued")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	release()
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held request: status %d, want 200", code)
+	}
+	if code := <-good; code != http.StatusOK {
+		t.Fatalf("batch-mate of the hostile request: status %d, want 200", code)
+	}
+	if code := <-hostile; code != http.StatusBadRequest {
+		t.Fatalf("hostile request: status %d, want 400", code)
+	}
+}
+
+// TestNonFiniteAnswerIs422 sends a value that stays finite once normalized
+// but folds in to NaN: the answer cannot be encoded as JSON, so the client
+// must get a 422 with an error body, not a dropped connection.
+func TestNonFiniteAnswerIs422(t *testing.T) {
+	ts, _, _ := lifecycleServer(t, Config{})
+	coeffs := lifecycleRow(t, ts) // fully observed: only the coefficients are NaN
+	*coeffs.Rows[0][4] = 1.797e308
+	coeffs.Coefficients = true
+	hidden := lifecycleRow(t, ts) // the reconstructed cell is NaN
+	*hidden.Rows[0][4] = 1.797e308
+	hidden.Rows[0][3] = nil
+	for _, req := range []imputeRequest{coeffs, hidden} {
+		resp, doc := postRaw(t, ts.Client(), ts.URL+"/v1/models/air/impute", req)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("status %d, want 422", resp.StatusCode)
+		}
+		if msg, _ := doc["error"].(string); msg == "" {
+			t.Fatalf("422 without an error body: %v", doc)
+		}
+	}
+}
+
+// FuzzImputeRequest sends arbitrary bodies through the impute handler. Each
+// must be answered 200, 400 or 422; a panic, which is how an aborted write
+// surfaces under httptest.NewRecorder, fails the input.
+func FuzzImputeRequest(f *testing.F) {
+	path, _, _ := fixture(f)
+	metrics := NewMetrics()
+	registry := NewRegistry(Config{}, metrics)
+	f.Cleanup(registry.Close)
+	if _, err := registry.LoadFile("air", path); err != nil {
+		f.Fatal(err)
+	}
+	handler := NewServer(registry, metrics).Handler()
+	for _, seed := range []string{
+		`{"rows":[[40,116.5,0.5,50,50,50]]}`,
+		`{"rows":[[40,116.5,0.5,50,1.797e308,50]],"coefficients":true}`,
+		`{"rows":[[null,null,null,null,null,null]]}`,
+		`{"rows":[]}`,
+		`{"rows":[[1,2,3]]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/models/air/impute", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusUnprocessableEntity:
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+	})
+}
+
 func TestServerAdminLoadReloadRemove(t *testing.T) {
 	path, orig, tail := fixture(t)
 	metrics := NewMetrics()
@@ -501,7 +615,7 @@ func TestServerOverloadShedsAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	stuffed.batcher.Close()
-	stuffed.batcher = &batcher{in: make(chan *foldRequest)}
+	stuffed.batcher = &batcher{in: make(chan *foldRequest), metrics: metrics}
 
 	srv := NewServer(registry, metrics)
 	ts := httptest.NewServer(srv.Handler())
@@ -709,7 +823,7 @@ func TestRegistryRefusesPartialModels(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	registry := NewRegistry(Config{}, nil)
+	registry := NewRegistry(Config{}, NewMetrics())
 	defer registry.Close()
 	if _, err := registry.Register("air", model, partialPath); !errors.Is(err, ErrPartialModel) {
 		t.Fatalf("Register(partial) error = %v, want ErrPartialModel", err)

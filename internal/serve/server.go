@@ -73,14 +73,6 @@ func NewServer(registry *Registry, metrics *Metrics) *Server {
 // Handler returns the server's root handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Admission exposes the server's admission controller (read-only use:
-// gauges, tests).
-func (s *Server) Admission() *Admission { return s.admission }
-
-// Health exposes the server's health state machine (read-only use: gauges,
-// tests; the daemon calls BeginDrain instead of mutating it directly).
-func (s *Server) Health() *Health { return s.health }
-
 // BeginDrain moves the server into the draining state: /healthz answers 503
 // so load balancers stop routing here, and new impute requests get clean
 // 503s while in-flight ones finish. Call before http.Server.Shutdown.
@@ -328,11 +320,11 @@ func (s *Server) requestTimeout(r *http.Request) (d time.Duration, explicit bool
 	if perr != nil || ms <= 0 {
 		return 0, false, fmt.Errorf("bad timeout_ms %q: want a positive integer", v)
 	}
-	d = time.Duration(ms) * time.Millisecond
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
+	// Compare in ms: the Duration product wraps negative past ~9.2e12 ms.
+	if ms > s.cfg.MaxTimeout.Milliseconds() {
+		return s.cfg.MaxTimeout, true, nil
 	}
-	return d, true, nil
+	return time.Duration(ms) * time.Millisecond, true, nil
 }
 
 func (s *Server) handleImpute(w http.ResponseWriter, r *http.Request) {
@@ -499,14 +491,31 @@ func (s *Server) serveFallback(w http.ResponseWriter, r *http.Request, name stri
 
 // writeImpute writes a successful impute response through the torn-body
 // guard: an injected write fault aborts the connection so the client sees a
-// transport error, never a truncated JSON document.
+// transport error, never a truncated JSON document. A NaN or ±Inf answer,
+// which JSON cannot carry, gets a 422 instead (an extreme observed value can
+// fold in to one).
 func (s *Server) writeImpute(w http.ResponseWriter, name string, resp imputeResponse) {
 	if faultinject.Enabled() {
 		if err := faultinject.Fire(faultinject.ServeWrite, name); err != nil {
 			panic(http.ErrAbortHandler)
 		}
 	}
+	if !finite(resp.Rows) || !finite(resp.Coefficients) {
+		writeError(w, http.StatusUnprocessableEntity, "the answer is not finite: an observed value is too extreme for the model")
+		return
+	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+func finite(rows [][]float64) bool {
+	for _, row := range rows {
+		for _, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // buildRows converts JSON rows (nulls = missing) into the normalized dense
@@ -538,8 +547,16 @@ func buildRows(in [][]*float64, entry *Entry) (*mat.Dense, *mat.Mask, error) {
 	}
 	for i := 0; i < len(in); i++ {
 		for j := 0; j < cols; j++ {
-			if mask.Observed(i, j) && dense.At(i, j) < 0 {
+			if !mask.Observed(i, j) {
+				continue
+			}
+			switch v := dense.At(i, j); {
+			case v < 0:
 				return nil, nil, fmt.Errorf("row %d col %d is below the training minimum", i, j)
+			case math.IsInf(v, 1):
+				// FoldIn would reject the whole stacked batch, failing this
+				// request's batch-mates with it.
+				return nil, nil, fmt.Errorf("row %d col %d overflows the training normalization", i, j)
 			}
 		}
 	}

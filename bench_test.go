@@ -228,17 +228,6 @@ func BenchmarkJacobiSVD(b *testing.B) {
 	}
 }
 
-func BenchmarkTruncatedSVD(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	a := mat.RandomNormal(rng, 2000, 13, 0, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := linalg.TruncatedSVD(a, 8, 4, 2, int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFoldIn measures fold-in cost at the batch sizes the serving
 // layer's micro-batcher produces. The ns/row metric is the number to compare
 // across sub-benchmarks: it quantifies how much one coalesced FoldIn call

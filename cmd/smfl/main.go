@@ -430,13 +430,16 @@ func saveArtifact(path string, model *core.Model, nz *dataset.Normalizer) error 
 }
 
 // loadArtifact reads a model written by saveArtifact together with the
-// training normalization it carries. A file that opens but does not load is
-// most likely from an older smfl, so that error carries a re-save hint.
+// training normalization it carries. A file that opens but does not load
+// gets a re-save hint, unless core's wire-version error already gives one.
 func loadArtifact(path string) (*core.Model, *dataset.Normalizer, error) {
 	model, err := core.LoadFile(path)
 	var perr *fs.PathError
 	if errors.As(err, &perr) {
 		return nil, nil, err
+	}
+	if errors.Is(err, core.ErrWireVersion) {
+		return nil, nil, fmt.Errorf("load model %s: %w", path, err)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("load model %s: %w (re-save it with smfl impute -savemodel)", path, err)

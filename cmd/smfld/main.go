@@ -12,11 +12,13 @@
 //	      [-degraded-fallback auto]
 //
 // Model files are the .smfl artifacts written by `smfl impute -savemodel`
-// (or core.Model.SaveFile). Files written since wire version 2 carry the
-// training normalization, so requests and responses travel in original
-// units; older files are served in normalized units. Partial training
-// artifacts — models tagged by an interrupted or diverged fit — are refused
-// at load and reload time; finish the run with `smfl impute -resume` first.
+// (or core.Model.SaveFile) at the current wire version; a file of any other
+// version is refused with a re-save error. A file that carries the training
+// normalization, as every `smfl impute -savemodel` artifact does, is served
+// in original units; one saved without it is served in normalized units.
+// Partial training artifacts — models tagged by an interrupted or diverged
+// fit — are refused at load and reload time; finish the run with `smfl
+// impute -resume` first.
 //
 //	curl -s localhost:8080/v1/models/air/impute -d '{"rows": [[39.9, 116.4, null, 57.0]]}'
 //

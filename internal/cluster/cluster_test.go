@@ -125,18 +125,6 @@ func TestAccuracyValidation(t *testing.T) {
 	}
 }
 
-func TestLabelsFromU(t *testing.T) {
-	u := mat.FromRows([][]float64{
-		{0.9, 0.1},
-		{0.2, 0.7},
-		{0.5, 0.4},
-	})
-	labels := LabelsFromU(u)
-	if labels[0] != 0 || labels[1] != 1 || labels[2] != 0 {
-		t.Fatalf("labels = %v", labels)
-	}
-}
-
 func clusterProblem(t *testing.T) (*mat.Dense, *mat.Mask, []int, int) {
 	t.Helper()
 	res, err := dataset.Generate(dataset.Spec{

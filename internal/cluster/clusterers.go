@@ -9,26 +9,6 @@ import (
 	"github.com/spatialmf/smfl/internal/mat"
 )
 
-// LabelsFromU extracts a clustering from a factorization coefficient matrix:
-// row i joins the cluster of its largest coefficient ("the learned
-// coefficient matrix U gives each tuple a weight of belonging to each
-// cluster", Section I).
-func LabelsFromU(u *mat.Dense) []int {
-	n, k := u.Dims()
-	labels := make([]int, n)
-	for i := 0; i < n; i++ {
-		ui := u.Row(i)
-		best := 0
-		for j := 1; j < k; j++ {
-			if ui[j] > ui[best] {
-				best = j
-			}
-		}
-		labels[i] = best
-	}
-	return labels
-}
-
 // Clusterer produces K cluster labels from a (possibly incomplete) table.
 type Clusterer interface {
 	Name() string

@@ -11,6 +11,8 @@ import (
 	"math"
 	"os"
 
+	"github.com/spatialmf/smfl/internal/atomicfile"
+	"github.com/spatialmf/smfl/internal/faultinject"
 	"github.com/spatialmf/smfl/internal/mat"
 )
 
@@ -36,7 +38,7 @@ type checkpointWire struct {
 	Magic     string
 	Version   int
 	Hash      uint64
-	Model     []byte // core Save payload (wire v3: includes Partial, Recoveries)
+	Model     []byte // core Save payload, Partial and Recoveries included
 	StepScale float64
 	Jitter    uint64
 
@@ -89,9 +91,9 @@ func (tr *trainer) writeCheckpoint(model *Model) error {
 			return fmt.Errorf("core: checkpoint %s: %w", tr.ckptPath, err)
 		}
 	}
-	if err := writeFileAtomic(tr.ckptPath, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(&wire)
-	}); err != nil {
+	write := func(w io.Writer) error { return gob.NewEncoder(w).Encode(&wire) }
+	fault := &PersistFault{Path: tr.ckptPath}
+	if err := atomicfile.Write(tr.ckptPath, write, faultinject.PersistWrite, faultinject.PersistRename, fault); err != nil {
 		return fmt.Errorf("core: checkpoint %s: %w", tr.ckptPath, err)
 	}
 	return nil
@@ -240,6 +242,9 @@ func resume(path string, in *input, opts *ResumeOptions) (*Model, error) {
 	}
 	if h := fitHash(in, model.Method, model.L, cfg); h != ck.Hash {
 		return nil, fmt.Errorf("core: checkpoint %s was written for different data, weights or configuration, or by a fit on the other storage backend", path)
+	}
+	if err := cfg.validate(n, m, model.L, model.Method); err != nil {
+		return nil, fmt.Errorf("core: checkpoint %s: %w", path, err)
 	}
 
 	model.Partial = false

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -249,6 +251,34 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	// Different shape.
 	if _, err := ResumeFit(ckpt, x.Slice(0, 50, 0, 6), nil, nil); err == nil {
 		t.Fatal("resume accepted a differently-shaped matrix")
+	}
+
+	// A configuration Fit would refuse, behind a hash recomputed to match:
+	// resume must validate it before building the graph.
+	ck, err := LoadCheckpoint(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Model.Config.P = 1 << 62
+	in := &input{src: mat.NewDenseSource(x, omega), x: x, omega: omega}
+	var payload bytes.Buffer
+	if err := ck.Model.Save(&payload); err != nil {
+		t.Fatal(err)
+	}
+	wire := checkpointWire{
+		Magic: ckptMagic, Version: ckptVersion, Model: payload.Bytes(), StepScale: ck.StepScale,
+		Hash: fitHash(in, ck.Model.Method, ck.Model.L, ck.Model.Config),
+	}
+	var raw bytes.Buffer
+	if err := gob.NewEncoder(&raw).Encode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	hostile := filepath.Join(t.TempDir(), "hostile.ckpt")
+	if err := os.WriteFile(hostile, raw.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeFit(hostile, x, omega, &ResumeOptions{MaxIter: 20}); err == nil {
+		t.Fatal("resume accepted a checkpoint with P ≥ N")
 	}
 }
 

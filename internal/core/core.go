@@ -338,6 +338,9 @@ func (c Config) validate(n, m, l int, method Method) error {
 	if c.P < 1 {
 		return errors.New("core: P must be at least 1")
 	}
+	if method != NMF && c.P >= n {
+		return fmt.Errorf("core: P=%d must be < N=%d (a row has at most N−1 neighbors)", c.P, n)
+	}
 	if l < 0 || l > m {
 		return fmt.Errorf("core: SI width %d outside [0, %d]", l, m)
 	}
@@ -404,15 +407,14 @@ type Model struct {
 	V *mat.Dense // K×M feature matrix (first L columns = landmarks for SMFL)
 	C *mat.Dense // K×L landmark matrix (nil unless SMFL)
 
-	// Norm, when non-nil, is the training normalization (saved since wire
-	// version 2; nil for models loaded from v1 files).
+	// Norm, when non-nil, is the training normalization; Save persists it.
 	Norm *Norm
 
 	// Placer, when non-nil, is the O(L) landmark placement model attached
-	// by fits run with SpatialIndex == SpatialLandmark (saved since wire
-	// version 4). FoldIn uses it to warm-start new rows from the trained
-	// coefficients of their nearest landmarks; the serving layer uses it to
-	// report spatial context. It references nothing of size N.
+	// by fits run with SpatialIndex == SpatialLandmark. FoldIn uses it to
+	// warm-start new rows from the trained coefficients of their nearest
+	// landmarks; the serving layer uses it to report spatial context. It
+	// references nothing of size N.
 	Placer *landmark.Placer
 
 	Objective []float64 // objective value after each iteration

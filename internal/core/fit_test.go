@@ -267,6 +267,18 @@ func TestFitValidation(t *testing.T) {
 	if _, err := Fit(x, omega, 0, SMF, Config{K: 3, MaxIter: 1}); err == nil {
 		t.Fatal("expected L=0 error for spatial method")
 	}
+	// A row has at most N−1 neighbors; the graph builders size their
+	// neighbor slots from N·P, so a larger P must be refused up front.
+	for _, p := range []int{50, 1 << 62} {
+		for _, method := range []Method{SMF, SMFL} {
+			if _, err := Fit(x, omega, l, method, Config{K: 3, P: p, MaxIter: 1}); err == nil {
+				t.Fatalf("%v: expected P=%d ≥ N=50 error", method, p)
+			}
+		}
+	}
+	if _, err := Fit(x, omega, l, SMF, Config{K: 3, P: 49, MaxIter: 1}); err != nil {
+		t.Fatalf("P = N−1 must fit: %v", err)
+	}
 	neg := mat.NewDense(10, 4)
 	neg.Set(0, 3, -1)
 	if _, err := Fit(neg, nil, 2, NMF, Config{K: 2, MaxIter: 1}); err == nil {

@@ -85,7 +85,7 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 	}
 	tol := m.Config.FoldInTol
 	if tol <= 0 {
-		tol = 1e-8 // pre-v3 models carry no FoldInTol; keep the historical value
+		tol = 1e-8 // unset, as in a Model not built by Fit: the Config default
 	}
 
 	// Each row's trajectory is independent of the rest of the batch: the

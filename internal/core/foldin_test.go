@@ -258,20 +258,20 @@ func TestFoldInCancellation(t *testing.T) {
 }
 
 // TestFoldInTolConfigurable: loosening the per-row convergence tolerance
-// freezes rows earlier, and the historical default (1e-8) still applies when
-// the field is zero (older model files).
+// freezes rows earlier, and the default (1e-8) applies when the field is
+// zero (a Model not built by Fit).
 func TestFoldInTolConfigurable(t *testing.T) {
 	model, test := foldInFixture(t)
 
 	base := *model
-	base.Config.FoldInTol = 0 // pre-v3 file: default applies
+	base.Config.FoldInTol = 0 // unset: the default applies
 	uDefault, err := base.FoldIn(test, nil, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	strict := *model
-	strict.Config.FoldInTol = 1e-8 // the explicit historical value
+	strict.Config.FoldInTol = 1e-8 // the default, set explicitly
 	uStrict, err := strict.FoldIn(test, nil, 100)
 	if err != nil {
 		t.Fatal(err)

@@ -68,7 +68,8 @@ func FuzzReadModel(f *testing.F) {
 	// Structurally bogus wire images that decode as gob but must be rejected:
 	// mismatched factor widths, K disagreeing with the factors, an SI width
 	// outside the column range, landmark dims disagreeing with V, a
-	// non-finite objective, and an unknown graph mode.
+	// non-finite objective, and an unknown graph mode, method or landmark
+	// source.
 	addWire := func(mutate func(*Model)) {
 		m := fuzzSeedModel()
 		mutate(m)
@@ -84,12 +85,15 @@ func FuzzReadModel(f *testing.F) {
 	addWire(func(m *Model) { m.C = mat.FromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}) })
 	addWire(func(m *Model) { m.Objective = []float64{math.Inf(-1)} })
 	addWire(func(m *Model) { m.Config.GraphMode = 7 })
+	addWire(func(m *Model) { m.Method = 7 })
+	addWire(func(m *Model) { m.Config.LandmarkSource = 9 })
 
 	// A hostile Dense header whose 8*rows*cols overflows int64 so the
 	// expected length wraps onto a 12-byte payload (the allocation bomb the
-	// unmarshaler's uint64 length check exists for).
+	// unmarshaler's uint64 length check exists for). It carries the current
+	// wire version, or the version check would refuse it first.
 	bomb := []byte{'S', 'M', 'D', '1', 0, 0, 0, 0x40, 0, 0, 0, 0x80}
-	wire := modelWire{U: bomb, V: bomb, Version: 2}
+	wire := modelWire{U: bomb, V: bomb, Version: wireVersion}
 	var bombBuf bytes.Buffer
 	if err := gob.NewEncoder(&bombBuf).Encode(&wire); err != nil {
 		f.Fatal(err)

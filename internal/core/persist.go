@@ -7,26 +7,23 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 
+	"github.com/spatialmf/smfl/internal/atomicfile"
 	"github.com/spatialmf/smfl/internal/faultinject"
 	"github.com/spatialmf/smfl/internal/landmark"
 	"github.com/spatialmf/smfl/internal/mat"
 	"github.com/spatialmf/smfl/internal/spatial"
 )
 
-// wireVersion is the current .smfl container version. Version 1 files (no
-// Version field on the wire, no normalization stats) predate the serving
-// layer; version 3 adds the partial/recovery tags and the fault-tolerance
-// config fields; version 4 adds the spatial-index mode and the landmark
-// placer; version 5 adds the stochastic-updater config (batch size, anchor
-// cadence); version 6 adds the exact graph backend (Config.GraphMode), which
-// fitHash covers, so a brute-force-graph checkpoint resumes. gob leaves
-// absent fields zero, so Load reads older files unchanged (as KD-tree fits),
-// and older decoders skip the appended fields. Decoders must tolerate
-// unknown future fields the same way: never repurpose a field name, only
-// append.
+// wireVersion is the .smfl container version. Load reads only this version
+// and refuses any other with ErrWireVersion. gob leaves absent fields zero
+// and skips unknown ones, so bump the version whenever modelWire or
+// configWire changes, and never repurpose a field name.
 const wireVersion = 6
+
+// ErrWireVersion tags the error Load returns for a file written at a wire
+// version other than wireVersion.
+var ErrWireVersion = errors.New("core: unsupported model wire version")
 
 // modelWire is the gob-encodable image of a fitted Model. Matrices travel
 // through their binary marshalers (see internal/mat/serialize.go).
@@ -39,16 +36,14 @@ type modelWire struct {
 	Iters     int
 	Converged bool
 
-	// Since version 2.
 	Version            int
 	NormMins, NormMaxs []float64
 
-	// Since version 3.
 	Partial    bool
 	Recoveries int
 
-	// Since version 4: the O(L) placement model attached by landmark-index
-	// fits (empty when absent).
+	// Placer is the O(L) placement model attached by landmark-index fits
+	// (empty when absent).
 	Placer []byte
 }
 
@@ -69,20 +64,16 @@ type configWire struct {
 	Updater        Updater
 	LandmarkSource LandmarkSource
 
-	// Since version 3.
 	FoldInTol       float64
 	CheckpointEvery int
 	WatchdogRetries int
 	WatchdogExplode float64
 
-	// Since version 4.
 	SpatialIndex SpatialIndex
 
-	// Since version 5.
 	BatchCells  int
 	AnchorEvery int
 
-	// Since version 6.
 	GraphMode spatial.BuildMode
 }
 
@@ -140,11 +131,16 @@ func (m *Model) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(&wire)
 }
 
-// Load deserializes a model written by Save.
+// Load deserializes a model written by Save. A file of another wire
+// version is refused with an error wrapping ErrWireVersion.
 func Load(r io.Reader) (*Model, error) {
 	var wire modelWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, err
+	}
+	if wire.Version != wireVersion {
+		return nil, fmt.Errorf("%w: the file is version %d, this build reads version %d; refit the model and re-save it",
+			ErrWireVersion, wire.Version, wireVersion)
 	}
 	u := new(mat.Dense)
 	if err := u.UnmarshalBinary(wire.U); err != nil {
@@ -177,8 +173,6 @@ func Load(r io.Reader) (*Model, error) {
 			Tol: cw.Tol, Seed: cw.Seed, KMeansMaxIter: cw.KMeansMaxIter,
 			KMeansRestarts: cw.KMeansRestarts, LearningRate: cw.LearningRate,
 			Eps: cw.Eps, Updater: cw.Updater, LandmarkSource: cw.LandmarkSource,
-			// Pre-v3 files leave these zero; Fit re-applies defaults and FoldIn
-			// falls back to the historical 1e-8 tolerance.
 			FoldInTol: cw.FoldInTol, CheckpointEvery: cw.CheckpointEvery,
 			WatchdogRetries: cw.WatchdogRetries, WatchdogExplode: cw.WatchdogExplode,
 			SpatialIndex: cw.SpatialIndex,
@@ -236,6 +230,16 @@ func validateLoaded(m *Model) error {
 	if !m.U.IsFinite() || !m.V.IsFinite() {
 		return errors.New("core: load: factors have non-finite entries")
 	}
+	switch m.Method {
+	case NMF, SMF, SMFL:
+	default:
+		return fmt.Errorf("core: load: unknown method %d", int(m.Method))
+	}
+	switch m.Config.LandmarkSource {
+	case KMeansCenters, RandomObservations, UniformGrid:
+	default:
+		return fmt.Errorf("core: load: unknown landmark source %d", int(m.Config.LandmarkSource))
+	}
 	if m.Config.SpatialIndex != SpatialExact && m.Config.SpatialIndex != SpatialLandmark {
 		return fmt.Errorf("core: load: unknown spatial index %d", m.Config.SpatialIndex)
 	}
@@ -273,60 +277,10 @@ func validateLoaded(m *Model) error {
 // SaveFile writes the model to a file path atomically: a reader (or a crash)
 // at any instant sees either the previous complete file or the new one, never
 // a torn write. Serving deployments rely on this to hot-swap model files in
-// place.
+// place. The faultinject points PersistWrite and PersistRename simulate an
+// I/O error mid-write and a crash before the rename.
 func (m *Model) SaveFile(path string) error {
-	return writeFileAtomic(path, m.Save)
-}
-
-// writeFileAtomic streams write into a temp file in path's directory, fsyncs
-// it, renames it over path, and fsyncs the directory so the rename itself is
-// durable. The faultinject points let tests simulate an I/O error mid-write
-// (PersistWrite) and a crash in the window between the temp write and the
-// rename (PersistRename) — in both cases any previous file at path survives
-// untouched and the temp file is removed.
-func writeFileAtomic(path string, write func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := write(f); err != nil {
-		return fail(err)
-	}
-	if faultinject.Enabled() {
-		if err := faultinject.Fire(faultinject.PersistWrite, &PersistFault{Path: path}); err != nil {
-			return fail(err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if faultinject.Enabled() {
-		// A simulated crash here leaves the durable temp file on disk next to
-		// the intact previous file — exactly the state a real power cut would.
-		if err := faultinject.Fire(faultinject.PersistRename, &PersistFault{Path: path}); err != nil {
-			return err
-		}
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() // best effort: rename durability
-		d.Close()
-	}
-	return nil
+	return atomicfile.Write(path, m.Save, faultinject.PersistWrite, faultinject.PersistRename, &PersistFault{Path: path})
 }
 
 // LoadFile reads a model written by SaveFile.

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/spatialmf/smfl/internal/faultinject"
@@ -101,66 +103,57 @@ func TestSaveUnfittedFails(t *testing.T) {
 	}
 }
 
-// modelWireV1 replicates the wire image written before wire version 2 (no
-// Version field, no normalization stats). Gob matches struct fields by name,
-// so encoding it reproduces a v1 .smfl stream bit-for-bit in the ways that
-// matter to the decoder.
-type modelWireV1 struct {
-	Method    Method
-	Config    configWire
-	L         int
-	U, V, C   []byte
-	Objective []float64
-	Iters     int
-	Converged bool
+// TestLoadRefusesOtherWireVersions: Load reads only wireVersion. Images
+// at v0 (the layout before the Version field existed), one version back and
+// one ahead are refused with ErrWireVersion, before any payload is
+// unmarshalled: the images carry a U that would not unmarshal.
+func TestLoadRefusesOtherWireVersions(t *testing.T) {
+	var buf bytes.Buffer
+	if err := fuzzSeedModel().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var wire modelWire
+	if err := gob.NewDecoder(&buf).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	wire.U = []byte("not a matrix")
+	for _, v := range []int{0, wireVersion - 1, wireVersion + 1} {
+		wire.Version = v
+		buf.Reset()
+		if err := gob.NewEncoder(&buf).Encode(&wire); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&buf)
+		if !errors.Is(err, ErrWireVersion) {
+			t.Fatalf("v%d image: Load returned %v, want ErrWireVersion", v, err)
+		}
+		for _, want := range []string{fmt.Sprintf("version %d,", v), fmt.Sprintf("version %d;", wireVersion), "re-save"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("v%d image: error %q does not mention %q", v, err, want)
+			}
+		}
+	}
 }
 
-func TestLoadV1WireBackwardCompat(t *testing.T) {
-	x, omega, l := testProblem(t, 110, 83)
-	orig, err := Fit(x, omega, l, SMFL, quickCfg(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := orig.U.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := orig.V.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := orig.C.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := orig.Config
-	v1 := modelWireV1{
-		Method: orig.Method,
-		Config: configWire{
-			K: cfg.K, Lambda: cfg.Lambda, P: cfg.P, MaxIter: cfg.MaxIter,
-			Tol: cfg.Tol, Seed: cfg.Seed, KMeansMaxIter: cfg.KMeansMaxIter,
-			KMeansRestarts: cfg.KMeansRestarts, LearningRate: cfg.LearningRate,
-			Eps: cfg.Eps, Updater: cfg.Updater, LandmarkSource: cfg.LandmarkSource,
-		},
-		L: orig.L, U: u, V: v, C: c,
-		Objective: orig.Objective, Iters: orig.Iters, Converged: orig.Converged,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v1); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("v1 wire no longer loads: %v", err)
-	}
-	if !mat.EqualApprox(got.U, orig.U, 0) || !mat.EqualApprox(got.V, orig.V, 0) || !mat.EqualApprox(got.C, orig.C, 0) {
-		t.Fatal("v1 factors corrupted")
-	}
-	if got.Method != orig.Method || got.L != orig.L || got.Config.K != orig.Config.K {
-		t.Fatal("v1 metadata corrupted")
-	}
-	if got.Norm != nil {
-		t.Fatal("v1 file must load with nil Norm")
+// TestLoadRefusesUnknownEnums: an image whose Method or LandmarkSource names
+// no enum value is refused; a Method 7 model would otherwise resume as SMF.
+func TestLoadRefusesUnknownEnums(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Model)
+	}{
+		{"method 7", func(m *Model) { m.Method = 7 }},
+		{"landmark source 9", func(m *Model) { m.Config.LandmarkSource = 9 }},
+	} {
+		m := fuzzSeedModel()
+		tc.mutate(m)
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Fatalf("%s: Load accepted the image", tc.name)
+		}
 	}
 }
 

@@ -351,37 +351,3 @@ func TestERACERInRegistry(t *testing.T) {
 		t.Fatal("ERACER missing from registry")
 	}
 }
-
-func TestSoftImputeRandomizedModeMatchesExact(t *testing.T) {
-	x, omega, l := lowRankProblem(t, 4)
-	exact, err := (&SoftImpute{MaxIter: 40}).Impute(x, omega, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := (&SoftImpute{MaxIter: 40, Rank: 6, Seed: 1}).Impute(x, omega, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eRMS, _ := metrics.RMSOverHidden(exact, x, omega)
-	fRMS, _ := metrics.RMSOverHidden(fast, x, omega)
-	if fRMS > 2*eRMS+0.02 {
-		t.Fatalf("randomized SoftImpute RMS %v far from exact %v", fRMS, eRMS)
-	}
-}
-
-func TestMCRandomizedModeRuns(t *testing.T) {
-	x, omega, l := lowRankProblem(t, 5)
-	out, err := (&MC{MaxIter: 60, Rank: 5, Seed: 2}).Impute(x, omega, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.IsFinite() {
-		t.Fatal("non-finite output")
-	}
-	rms, _ := metrics.RMSOverHidden(out, x, omega)
-	meanOut, _ := Mean{}.Impute(x, omega, l)
-	meanRMS, _ := metrics.RMSOverHidden(meanOut, x, omega)
-	if rms >= meanRMS {
-		t.Fatalf("randomized MC RMS %v did not beat mean %v", rms, meanRMS)
-	}
-}

@@ -15,10 +15,6 @@ type MC struct {
 	Delta   float64 // step size; <=0 means 1.2·N·M/|Ω|
 	MaxIter int     // default 100
 	Tol     float64 // relative residual stop; default 1e-4
-	// Rank > 0 switches to randomized truncated SVDs of that rank per
-	// iteration — much faster on tall matrices at a small accuracy cost.
-	Rank int
-	Seed int64
 }
 
 // Name implements Imputer.
@@ -54,7 +50,7 @@ func (m *MC) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) {
 	y := mat.NewDense(n, mm)
 	var z *mat.Dense
 	for it := 0; it < maxIter; it++ {
-		svd, err := decompose(y, m.Rank, m.Seed+int64(it))
+		svd, err := linalg.ComputeSVD(y)
 		if err != nil {
 			return nil, err
 		}
@@ -75,10 +71,6 @@ type SoftImpute struct {
 	Lambda  float64 // shrinkage; <=0 means 0.1·σ₁(R_Ω(X))
 	MaxIter int     // default 50
 	Tol     float64 // relative change stop; default 1e-4
-	// Rank > 0 switches to randomized truncated SVDs of that rank per
-	// iteration (the large-scale mode of the original SoftImpute paper).
-	Rank int
-	Seed int64
 }
 
 // Name implements Imputer.
@@ -98,7 +90,7 @@ func (s *SoftImpute) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, e
 		tol = 1e-4
 	}
 	rx := omega.Project(nil, x)
-	svd0, err := decompose(rx, s.Rank, s.Seed)
+	svd0, err := linalg.ComputeSVD(rx)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +108,7 @@ func (s *SoftImpute) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, e
 	for it := 0; it < maxIter; it++ {
 		// filled = R_Ω(X) + R_Ψ(Z)
 		copyRecover(filled, x, z, omega)
-		svd, err := decompose(filled, s.Rank, s.Seed+int64(it))
+		svd, err := linalg.ComputeSVD(filled)
 		if err != nil {
 			return nil, err
 		}
@@ -129,15 +121,6 @@ func (s *SoftImpute) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, e
 		}
 	}
 	return omega.Recover(x, z), nil
-}
-
-// decompose picks the exact Jacobi SVD or, when rank > 0, the randomized
-// truncated SVD.
-func decompose(a *mat.Dense, rank int, seed int64) (*linalg.SVD, error) {
-	if rank > 0 {
-		return linalg.TruncatedSVD(a, rank, 8, 2, seed)
-	}
-	return linalg.ComputeSVD(a)
 }
 
 // copyRecover stores R_Ω(x) + R_Ψ(z) into dst without allocating.

@@ -401,13 +401,6 @@ func (ix *Index) ensureMDS() (*LMDS, error) {
 	return ix.mds, ix.mdsErr
 }
 
-// MDS returns the landmark MDS model, fitting it on first call (nil when
-// it cannot be fitted, e.g. fewer than 2 landmarks).
-func (ix *Index) MDS() *LMDS {
-	m, _ := ix.ensureMDS()
-	return m
-}
-
 // cand is one scored neighbor candidate during a query (squared distance).
 type cand struct {
 	d2  float64
@@ -542,29 +535,6 @@ func (ix *Index) PNNGraph(p int) (*spatial.Graph, error) {
 		}
 	})
 	return spatial.NewGraphFromNeighbors(nbrs), nil
-}
-
-// EmbedAll triangulates every row of si into the landmark embedding from
-// its L landmark distances only — the N×m LMDS coordinate matrix.
-func (ix *Index) EmbedAll() (*mat.Dense, error) {
-	mds, err := ix.ensureMDS()
-	if err != nil {
-		return nil, fmt.Errorf("landmark: embedding: %w", err)
-	}
-	n, _ := ix.si.Dims()
-	l, _ := ix.coords.Dims()
-	out := mat.NewDense(n, mds.Dim())
-	mat.ParallelRange(n, n*l*(mds.Dim()+4), func(lo, hi int) {
-		d2 := make([]float64, l)
-		for i := lo; i < hi; i++ {
-			xi := ix.si.Row(i)
-			for b := 0; b < l; b++ {
-				d2[b] = sqDist(xi, ix.coords.Row(b))
-			}
-			mds.Triangulate(out.Row(i), d2)
-		}
-	})
-	return out, nil
 }
 
 // NewPlacer extracts the O(L)-sized placement model: the landmark

@@ -60,6 +60,8 @@ func TestLMDSTriangulateRecoversLandmarks(t *testing.T) {
 func TestLMDSTriangulateUnseenPoint(t *testing.T) {
 	// An unseen point triangulated from its landmark distances must land so
 	// that its embedded distances to the landmarks match the originals.
+	// Full-dimension LMDS of Euclidean data is a rigid motion, so two
+	// triangulated points also keep their distance to each other.
 	rng := rand.New(rand.NewSource(102))
 	lc := mat.RandomNormal(rng, 30, 3, 0, 2)
 	m, err := NewLMDS(lc, 3, 3)
@@ -67,6 +69,7 @@ func TestLMDSTriangulateUnseenPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	l, _ := lc.Dims()
+	var prevP, prevY []float64
 	for trial := 0; trial < 20; trial++ {
 		p := []float64{4 * rng.NormFloat64(), 4 * rng.NormFloat64(), 4 * rng.NormFloat64()}
 		d2 := make([]float64, l)
@@ -81,26 +84,42 @@ func TestLMDSTriangulateUnseenPoint(t *testing.T) {
 				t.Fatalf("trial %d landmark %d: embedded dist %v, original %v", trial, j, emb, orig)
 			}
 		}
+		if prevP != nil {
+			emb := math.Sqrt(sqDist(y, prevY))
+			orig := math.Sqrt(sqDist(p, prevP))
+			if math.Abs(emb-orig) > 1e-5*(1+orig) {
+				t.Fatalf("trials %d,%d: embedded distance %v, original %v", trial-1, trial, emb, orig)
+			}
+		}
+		prevP, prevY = p, y
 	}
 }
 
 func TestEmbedAllPreservesDistances(t *testing.T) {
+	// The index's own LMDS, fitted on landmarks Build selected: every row
+	// triangulated from its L landmark distances keeps its distance to
+	// every other row, because full-dimension LMDS of Euclidean data is a
+	// rigid motion.
 	rng := rand.New(rand.NewSource(103))
 	si := clusteredSI(rng, 600, 4, 2)
 	ix, err := Build(si, Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	emb, err := ix.EmbedAll()
+	mds, err := ix.ensureMDS()
 	if err != nil {
 		t.Fatal(err)
 	}
 	n, _ := si.Dims()
-	if r, _ := emb.Dims(); r != n {
-		t.Fatalf("embedding rows %d, want %d", r, n)
+	l, _ := ix.coords.Dims()
+	emb := mat.NewDense(n, mds.Dim())
+	d2 := make([]float64, l)
+	for i := 0; i < n; i++ {
+		for b := 0; b < l; b++ {
+			d2[b] = sqDist(si.Row(i), ix.coords.Row(b))
+		}
+		mds.Triangulate(emb.Row(i), d2)
 	}
-	// Spot-check random pairs: full-dimension LMDS of Euclidean data is a
-	// rigid motion, so all pairwise distances survive.
 	for trial := 0; trial < 200; trial++ {
 		i, j := rng.Intn(n), rng.Intn(n)
 		orig := math.Sqrt(sqDist(si.Row(i), si.Row(j)))

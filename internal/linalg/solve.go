@@ -99,40 +99,6 @@ func Ridge(a *mat.Dense, b []float64, alpha float64) ([]float64, error) {
 	return CholeskySolve(l, atb), nil
 }
 
-// LeastSquares solves min_x ‖A x − b‖² via QR when A has full column rank.
-func LeastSquares(a *mat.Dense, b []float64) ([]float64, error) {
-	q, r, err := QR(a)
-	if err != nil {
-		return nil, err
-	}
-	m, n := a.Dims()
-	if len(b) != m {
-		return nil, errors.New("linalg: LeastSquares rhs length mismatch")
-	}
-	// x = R⁻¹ Qᵀ b.
-	qtb := make([]float64, n)
-	for j := 0; j < n; j++ {
-		var s float64
-		for i := 0; i < m; i++ {
-			s += q.At(i, j) * b[i]
-		}
-		qtb[j] = s
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := qtb[i]
-		for k := i + 1; k < n; k++ {
-			s -= r.At(i, k) * x[k]
-		}
-		d := r.At(i, i)
-		if math.Abs(d) < 1e-14 {
-			return nil, ErrSingular
-		}
-		x[i] = s / d
-	}
-	return x, nil
-}
-
 // QR computes the thin QR decomposition A = Q R with Q m×n orthonormal
 // columns and R n×n upper triangular, using modified Gram–Schmidt with
 // one reorthogonalization pass.

@@ -144,28 +144,6 @@ func TestQRProperty(t *testing.T) {
 	}
 }
 
-func TestLeastSquaresMatchesRidgeAtZero(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	a := mat.RandomNormal(rng, 25, 5, 0, 1)
-	b := make([]float64, 25)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	xLS, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xR, err := Ridge(a, b, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xLS {
-		if math.Abs(xLS[i]-xR[i]) > 1e-6 {
-			t.Fatalf("LS %v vs ridge %v", xLS, xR)
-		}
-	}
-}
-
 func TestSymEigenProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for trial := 0; trial < 20; trial++ {

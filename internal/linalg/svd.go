@@ -1,8 +1,8 @@
 // Package linalg implements the numerical linear algebra needed by the
 // matrix-completion baselines of the SMFL reproduction: a one-sided Jacobi
-// SVD, Householder QR, Cholesky-based ridge/least-squares solvers, a
-// symmetric Jacobi eigendecomposition, and PCA. Everything is written against
-// internal/mat and the standard library only.
+// SVD, Gram–Schmidt QR, a Cholesky-based ridge solver, a symmetric Jacobi
+// eigendecomposition, and PCA. Everything is written against internal/mat
+// and the standard library only.
 package linalg
 
 import (
@@ -170,31 +170,6 @@ func (d *SVD) SoftThresholdReconstruct(tau float64) *mat.Dense {
 		}
 	}
 	return shr.Reconstruct(0)
-}
-
-// NuclearNorm returns Σσᵢ for the decomposed matrix.
-func (d *SVD) NuclearNorm() float64 {
-	var s float64
-	for _, v := range d.S {
-		s += v
-	}
-	return s
-}
-
-// Rank returns the numerical rank at tolerance tol relative to the largest
-// singular value.
-func (d *SVD) Rank(tol float64) int {
-	if len(d.S) == 0 || d.S[0] == 0 { //lint:ignore floatcmp exact-zero leading singular value means zero matrix
-		return 0
-	}
-	cut := d.S[0] * tol
-	n := 0
-	for _, s := range d.S {
-		if s > cut {
-			n++
-		}
-	}
-	return n
 }
 
 func sign(x float64) float64 {

@@ -14,6 +14,7 @@ var fitPathPackages = []string{
 	"internal/spatial",
 	"internal/kmeans",
 	"internal/store",
+	"internal/atomicfile", // checkpoint writes
 }
 
 // clockFuncs are the time package entry points that read or wait on the wall

@@ -97,33 +97,6 @@ func (m *Dense) Row(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
 }
 
-// Col copies column j into dst (allocated if nil) and returns it.
-func (m *Dense) Col(j int, dst []float64) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: col %d out of range %d", j, m.cols))
-	}
-	if dst == nil {
-		dst = make([]float64, m.rows)
-	}
-	if len(dst) != m.rows {
-		panic("mat: Col dst length mismatch")
-	}
-	for i := 0; i < m.rows; i++ {
-		dst[i] = m.data[i*m.cols+j]
-	}
-	return dst
-}
-
-// SetCol writes src into column j.
-func (m *Dense) SetCol(j int, src []float64) {
-	if len(src) != m.rows {
-		panic("mat: SetCol length mismatch")
-	}
-	for i := 0; i < m.rows; i++ {
-		m.data[i*m.cols+j] = src[i]
-	}
-}
-
 // Data returns the backing row-major slice (no copy).
 func (m *Dense) Data() []float64 { return m.data }
 

@@ -99,18 +99,6 @@ func TestRowIsView(t *testing.T) {
 	}
 }
 
-func TestColRoundTrip(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	col := m.Col(1, nil)
-	if col[0] != 2 || col[1] != 4 || col[2] != 6 {
-		t.Fatalf("Col = %v", col)
-	}
-	m.SetCol(0, []float64{9, 8, 7})
-	if m.At(2, 0) != 7 {
-		t.Fatalf("SetCol failed: %v", m)
-	}
-}
-
 func TestSlice(t *testing.T) {
 	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
 	s := m.Slice(1, 3, 0, 2)

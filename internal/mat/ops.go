@@ -32,16 +32,6 @@ func Hadamard(dst, a, b *Dense) *Dense {
 	return dst
 }
 
-// HadamardDivEps stores a ⊘ (b+eps) into dst and returns dst. The eps guard
-// keeps the multiplicative NMF updates finite when a denominator entry is 0.
-func HadamardDivEps(dst, a, b *Dense, eps float64) *Dense {
-	dst = prep(dst, a, b, "HadamardDivEps")
-	for i, v := range a.data {
-		dst.data[i] = v / (b.data[i] + eps)
-	}
-	return dst
-}
-
 // Scale stores s*a into dst and returns dst.
 func Scale(dst *Dense, s float64, a *Dense) *Dense {
 	dst = prep(dst, a, a, "Scale")
@@ -95,18 +85,6 @@ func FrobNorm2(m *Dense) float64 {
 	var s float64
 	for _, v := range m.data {
 		s += v * v
-	}
-	return s
-}
-
-// Dot returns the sum over all elements of a⊙b.
-func Dot(a, b *Dense) float64 {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic(dimErr("Dot", a, b))
-	}
-	var s float64
-	for i, v := range a.data {
-		s += v * b.data[i]
 	}
 	return s
 }

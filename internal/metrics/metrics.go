@@ -27,21 +27,3 @@ func RMSOverSet(pred, truth *mat.Dense, set *mat.Mask) (float64, error) {
 	}
 	return math.Sqrt(set.MaskedFrob2(pred, truth) / float64(n)), nil
 }
-
-// MAEOverSet computes mean absolute error over the cells marked in set.
-func MAEOverSet(pred, truth *mat.Dense, set *mat.Mask) (float64, error) {
-	r, c := set.Dims()
-	n := set.Count()
-	if n == 0 {
-		return 0, errors.New("metrics: empty evaluation set")
-	}
-	var s float64
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			if set.Observed(i, j) {
-				s += math.Abs(pred.At(i, j) - truth.At(i, j))
-			}
-		}
-	}
-	return s / float64(n), nil
-}

@@ -42,20 +42,4 @@ func TestEmptySetError(t *testing.T) {
 	if _, err := RMSOverHidden(x, x, mat.FullMask(2, 2)); err == nil {
 		t.Fatal("expected empty-set error")
 	}
-	if _, err := MAEOverSet(x, x, mat.NewMask(2, 2)); err == nil {
-		t.Fatal("expected empty-set error")
-	}
-}
-
-func TestMAE(t *testing.T) {
-	truth := mat.FromRows([][]float64{{1, -1}})
-	pred := mat.FromRows([][]float64{{2, 1}})
-	set := mat.FullMask(1, 2)
-	got, err := MAEOverSet(pred, truth, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-1.5) > 1e-12 {
-		t.Fatalf("MAE = %v", got)
-	}
 }

@@ -26,9 +26,9 @@ type ChaosConfig struct {
 	WriteAbort float64       // response write aborts the connection (no torn JSON)
 }
 
-// DefaultChaos is the schedule the chaos suite and smfld -chaos-seed run
-// with: frequent enough that a few hundred requests exercise every failure
-// path, rare enough that the server spends most of the run actually serving.
+// DefaultChaos is the schedule smfld -chaos-seed runs with: frequent
+// enough that a few hundred requests exercise every failure path, rare
+// enough that the server spends most of the run actually serving.
 func DefaultChaos() ChaosConfig {
 	return ChaosConfig{
 		BatchErr:   0.10,

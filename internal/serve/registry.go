@@ -82,7 +82,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Entry is one served model version: the immutable fitted Model, its
-// training normalization (nil when the file predates wire v2), and the
+// training normalization (nil when the model was saved without one), and the
 // micro-batcher that owns its FoldIn calls. Entries are never mutated after
 // registration — hot reload appends a new Entry and moves the active
 // pointer, so an in-flight request holding an Entry can never observe a torn
@@ -186,7 +186,7 @@ func (r *Registry) Register(name string, model *core.Model, path string) (*Entry
 	return entry, nil
 }
 
-// LoadFile reads a .smfl model file (any supported wire version) and
+// LoadFile reads a .smfl model file of the current wire version and
 // registers it. Partial training artifacts are refused with ErrPartialModel.
 func (r *Registry) LoadFile(name, path string) (*Entry, error) {
 	model, err := core.LoadFile(path)

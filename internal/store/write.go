@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 
+	"github.com/spatialmf/smfl/internal/atomicfile"
 	"github.com/spatialmf/smfl/internal/faultinject"
 	"github.com/spatialmf/smfl/internal/mat"
 )
@@ -111,13 +113,22 @@ func Write(dir string, x *mat.Dense, omega *mat.Mask, opts WriteOptions) error {
 		h := fnv.New64a()
 		h.Write(buf)
 		path := filepath.Join(dir, ShardFileName(s))
-		if err := writeAtomic(path, buf, faultinject.ShardWrite); err != nil {
+		write := func(w io.Writer) error {
+			_, err := w.Write(buf)
+			return err
+		}
+		if err := atomicfile.Write(path, write, faultinject.ShardWrite, faultinject.ShardRename, &ShardFault{Path: path}); err != nil {
 			return fmt.Errorf("store: shard %d: %w", s, err)
 		}
 		man.shards = append(man.shards, shardMeta{lo: lo, hi: hi, cells: cells, size: int64(len(buf)), hash: h.Sum64()})
 		man.cells += cells
 	}
-	if err := writeAtomic(filepath.Join(dir, ManifestName), encodeManifest(man), faultinject.ManifestWrite); err != nil {
+	path, data := filepath.Join(dir, ManifestName), encodeManifest(man)
+	write := func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}
+	if err := atomicfile.Write(path, write, faultinject.ManifestWrite, faultinject.ShardRename, &ShardFault{Path: path}); err != nil {
 		return fmt.Errorf("store: manifest: %w", err)
 	}
 	return nil
@@ -169,55 +180,4 @@ func encodeShard(x *mat.Dense, omega *mat.Mask, index, lo, hi int, colScratch []
 		binary.LittleEndian.PutUint32(buf[colOff+c*4:], uint32(j))
 	}
 	return buf, cells, nil
-}
-
-// writeAtomic publishes data at path via temp file + fsync + rename +
-// directory fsync, mirroring the checkpoint writer in internal/core.
-// writePoint fires after the payload is buffered but before fsync;
-// faultinject.ShardRename fires in the window between the durable temp file
-// and the rename (for the manifest too — its dedicated ManifestWrite point
-// covers the write side).
-func writeAtomic(path string, data []byte, writePoint faultinject.Point) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		return fail(err)
-	}
-	if faultinject.Enabled() {
-		if err := faultinject.Fire(writePoint, &ShardFault{Path: path}); err != nil {
-			return fail(err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if faultinject.Enabled() {
-		// A simulated crash here leaves the durable temp file next to an
-		// unpublished target — the state a real power cut would leave.
-		if err := faultinject.Fire(faultinject.ShardRename, &ShardFault{Path: path}); err != nil {
-			return err
-		}
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() // best effort: rename durability
-		d.Close()
-	}
-	return nil
 }

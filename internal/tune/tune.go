@@ -23,15 +23,6 @@ type Grid struct {
 	P      []int
 }
 
-// DefaultGrid covers the ranges of the paper's Figs. 6–8.
-func DefaultGrid() Grid {
-	return Grid{
-		K:      []int{4, 6, 8, 10},
-		Lambda: []float64{0.01, 0.05, 0.1, 0.5, 1},
-		P:      []int{2, 3, 5},
-	}
-}
-
 // Trial is one evaluated grid point.
 type Trial struct {
 	Cfg core.Config

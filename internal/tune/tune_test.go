@@ -125,10 +125,3 @@ func TestSearchValidation(t *testing.T) {
 		t.Fatal("expected all-failed error")
 	}
 }
-
-func TestDefaultGridCoversPaperRanges(t *testing.T) {
-	g := DefaultGrid()
-	if len(g.K) == 0 || len(g.Lambda) == 0 || len(g.P) == 0 {
-		t.Fatal("default grid is empty")
-	}
-}

@@ -177,6 +177,18 @@ func TestRunImputeSaveModelAndFoldIn(t *testing.T) {
 	if _, err := dataset.LoadCSV(foldOut, "fold", 2); err != nil {
 		t.Fatalf("fold output incomplete: %v", err)
 	}
+
+	// An all-blank line has nothing to fold in: refused, naming its row,
+	// rather than written out as the training minimums.
+	lines := strings.Split(string(mustRead(t, freshIn)), "\n")
+	lines[5] = ",,,,"
+	if err := os.WriteFile(freshIn, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run(context.Background(), []string{"foldin", "-model", modelPath, "-in", freshIn, "-out", foldOut, "-maxiter", "40"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "row 4 ") {
+		t.Fatalf("foldin of an all-blank data row 4: got %v, want an error naming row 4", err)
+	}
 }
 
 // TestSaveModelIsLoadableByCore asserts the -savemodel output is a plain

@@ -172,7 +172,7 @@ func TestSMFLClusteringTracksSpatialTruth(t *testing.T) {
 	// Fig. 4b shape: SMFL clusters spatial data well (landmarks = k-means
 	// cluster centers make U nearly an indicator of the true regions).
 	x, omega, truth, l := clusterProblem(t)
-	c := &MFClusterer{Method: core.SMFL, Cfg: core.Config{K: 4, MaxIter: 400, Tol: 1e-9, Seed: 4, KMeansRestarts: 5}}
+	c := &MFClusterer{Method: core.SMFL, Cfg: core.Config{K: 4, MaxIter: 400, Tol: 1e-9, Seed: 4}}
 	labels, err := c.Cluster(x, omega, l, 4)
 	if err != nil {
 		t.Fatal(err)

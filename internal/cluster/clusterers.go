@@ -46,10 +46,9 @@ func (c *MFClusterer) Cluster(x *mat.Dense, omega *mat.Mask, l, k int) ([]int, e
 }
 
 // PCAClusterer is the PCA [44] baseline of Fig. 4b: column-mean impute,
-// project to the top components, k-means on the scores.
+// project to the top min(k, M) components, k-means on the scores.
 type PCAClusterer struct {
-	Components int // default k
-	Seed       int64
+	Seed int64
 }
 
 // Name implements Clusterer.
@@ -83,15 +82,8 @@ func (c *PCAClusterer) Cluster(x *mat.Dense, omega *mat.Mask, _ /*l*/, k int) ([
 			}
 		}
 	}
-	comp := c.Components
-	if comp <= 0 {
-		_, m := x.Dims()
-		comp = k
-		if comp > m {
-			comp = m
-		}
-	}
-	scores, err := linalg.PCA(filled, comp)
+	_, m := x.Dims()
+	scores, err := linalg.PCA(filled, min(k, m))
 	if err != nil {
 		return nil, err
 	}

@@ -184,9 +184,8 @@ type ResumeOptions struct {
 	// MaxIter, when positive, replaces the checkpointed iteration cap —
 	// the knob for "train a finished run for longer".
 	MaxIter int
-	// CheckpointPath redirects further checkpoints (default: the file being
-	// resumed). CheckpointEvery, when positive, overrides the cadence.
-	CheckpointPath  string
+	// CheckpointEvery, when positive, overrides the cadence of further
+	// checkpoints, which overwrite the file being resumed.
 	CheckpointEvery int
 }
 
@@ -275,9 +274,6 @@ func resumeConfig(model *Model, path string, opts *ResumeOptions) Config {
 		cfg.MaxIter = opts.MaxIter
 	}
 	cfg.CheckpointPath = path
-	if opts.CheckpointPath != "" {
-		cfg.CheckpointPath = opts.CheckpointPath
-	}
 	if opts.CheckpointEvery > 0 {
 		cfg.CheckpointEvery = opts.CheckpointEvery
 	}
@@ -306,8 +302,9 @@ func resumedTrainer(ck *Checkpoint, method Method, cfg Config) *trainer {
 // ContentHash instead (streaming the full data would defeat out-of-core
 // operation) behind a leading "SMFL-SRC" marker that keeps the two streams
 // disjoint, so a checkpoint is never resumed against the wrong storage
-// backend by accident. Runtime-only fields (Ctx, checkpoint/watchdog knobs)
-// and MaxIter (legitimately raised on resume) are excluded.
+// backend by accident. Runtime-only fields (Ctx, checkpoint knobs) and
+// MaxIter (legitimately raised on resume) are excluded; the fixed solver
+// constants keep their slots, so existing checkpoints still resume.
 func fitHash(in *input, method Method, l int, cfg Config) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -347,13 +344,13 @@ func fitHash(in *input, method Method, l int, cfg Config) uint64 {
 	wi(int64(cfg.P))
 	wf(cfg.Tol)
 	wi(cfg.Seed)
-	wi(int64(cfg.KMeansMaxIter))
-	wi(int64(cfg.KMeansRestarts))
+	wi(kmeansMaxIter)
+	wi(kmeansRestarts)
 	wf(cfg.LearningRate)
-	wf(cfg.Eps)
+	wf(eps)
 	wi(int64(cfg.Updater))
 	wi(int64(cfg.BatchCells))
-	wi(int64(cfg.AnchorEvery))
+	wi(anchorEvery)
 	wi(int64(cfg.LandmarkSource))
 	wi(int64(cfg.GraphMode))
 	wi(int64(cfg.SpatialIndex))

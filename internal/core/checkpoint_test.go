@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
@@ -72,7 +73,6 @@ func TestResumeBitIdenticalTrajectory(t *testing.T) {
 			}
 			if tc.updater.Stochastic() {
 				cfg.BatchCells = 64 // several batches per epoch at this size
-				cfg.AnchorEvery = 3 // refreshes land on and off checkpoints
 			}
 
 			full, err := Fit(x, omega, l, tc.method, cfg)
@@ -406,5 +406,24 @@ func TestFitHashPinned(t *testing.T) {
 		if got := fitHash(tc.in, SMFL, 2, tc.cfg); got != tc.want {
 			t.Errorf("%s: fitHash = %#016x, want %#016x", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestSaveBytesPinned pins the bytes Save writes for a fixed model. Every
+// .smfl file and checkpoint carries them, so a change to the container, to
+// configWire or to the values Save writes into it is refused here unless
+// it is deliberate. The model comes from fixed matrices, not a fit, so the
+// bytes do not depend on floating-point contraction on the host.
+func TestSaveBytesPinned(t *testing.T) {
+	m := fuzzSeedModel()
+	m.Config = m.Config.withDefaults() // as every fit saves it
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	if got, want := h.Sum64(), uint64(0xf70a2d8cb744b98a); got != want {
+		t.Errorf("Save bytes hash = %#016x (%d bytes), want %#016x", got, buf.Len(), want)
 	}
 }

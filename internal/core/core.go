@@ -20,8 +20,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
+	"github.com/spatialmf/smfl/internal/kmeans"
 	"github.com/spatialmf/smfl/internal/landmark"
 	"github.com/spatialmf/smfl/internal/mat"
 	"github.com/spatialmf/smfl/internal/spatial"
@@ -110,8 +112,8 @@ const (
 	// SVRG is SGD with variance-reduced V-gradients: batch directions are
 	// corrected against a periodically refreshed anchor's full gradient
 	// (after "A Unified Framework for Stochastic Matrix Factorization via
-	// Variance Reduction"), trading one full |Ω| pass every
-	// Config.AnchorEvery epochs for near-full-gradient update quality.
+	// Variance Reduction"), trading one full |Ω| pass every two epochs for
+	// near-full-gradient update quality.
 	SVRG
 )
 
@@ -214,21 +216,14 @@ type Config struct {
 	Tol     float64 // relative objective-change early-stop (default 1e-5)
 	Seed    int64   // RNG seed for inits, K-means, landmark sampling
 
-	KMeansMaxIter  int     // t₂ (default 300)
-	KMeansRestarts int     // default 1
-	LearningRate   float64 // GD only (default 1e-3)
-	Eps            float64 // denominator guard (default 1e-12)
+	LearningRate float64 // GD only (default 1e-3)
 
 	Updater Updater
 	// BatchCells is the target number of observed cells per mini-batch for
 	// the stochastic updaters (default 32768). Batches are whole rows cut
 	// from a per-epoch shuffled permutation, so actual batch sizes float
 	// slightly above the target.
-	BatchCells int
-	// AnchorEvery is the SVRG anchor cadence in epochs: the anchor factors
-	// and their full V-gradient are re-snapshotted every AnchorEvery
-	// committed epochs (default 2).
-	AnchorEvery    int
+	BatchCells     int
 	LandmarkSource LandmarkSource
 	GraphMode      spatial.BuildMode // exact backend: KD-tree by default
 	// SpatialIndex picks the spatial backend (exact by default). With
@@ -257,16 +252,6 @@ type Config struct {
 	CheckpointPath  string
 	CheckpointEvery int
 
-	// WatchdogRetries bounds the consecutive rollback-and-retry recoveries
-	// the divergence watchdog attempts before returning a DivergenceError
-	// (default 5). Set to -1 to disable the watchdog entirely (the pre-
-	// watchdog behavior: NaN/Inf silently poison the run).
-	WatchdogRetries int
-	// WatchdogExplode is the relative objective-explosion threshold: an
-	// iteration whose objective exceeds this multiple of the last healthy
-	// one is rolled back (default 100).
-	WatchdogExplode float64
-
 	// Weights, when non-nil, turns the reconstruction term into the
 	// confidence-weighted ‖W^½ ⊙ R_Ω(X − UV)‖²_F: cells with larger weights
 	// are trusted more (e.g. per-sensor reliability). Shape must match X,
@@ -275,6 +260,16 @@ type Config struct {
 	// reduces exactly to Problems 1/2.
 	Weights *mat.Dense
 }
+
+// Fixed solver settings: every fit runs with these values.
+const (
+	eps             = 1e-12                 // denominator guard of Formulas 13/14 and fold-in
+	kmeansMaxIter   = kmeans.DefaultMaxIter // K-means iterations t₂ for the landmark matrix C
+	kmeansRestarts  = 1                     // K-means restarts for C
+	anchorEvery     = 2                     // SVRG anchor refresh cadence, in committed epochs
+	watchdogRetries = 5                     // consecutive watchdog rollbacks before a DivergenceError
+	watchdogExplode = 100                   // an objective above this multiple of the last healthy one is rolled back
+)
 
 func (c Config) withDefaults() Config {
 	if c.K == 0 {
@@ -292,17 +287,8 @@ func (c Config) withDefaults() Config {
 	if c.Tol == 0 { //lint:ignore floatcmp zero config value means unset
 		c.Tol = 1e-5
 	}
-	if c.KMeansMaxIter == 0 {
-		c.KMeansMaxIter = 300
-	}
-	if c.KMeansRestarts == 0 {
-		c.KMeansRestarts = 1
-	}
 	if c.LearningRate == 0 { //lint:ignore floatcmp zero config value means unset
 		c.LearningRate = 1e-3
-	}
-	if c.Eps == 0 { //lint:ignore floatcmp zero config value means unset
-		c.Eps = 1e-12
 	}
 	if c.FoldInTol == 0 { //lint:ignore floatcmp zero config value means unset
 		c.FoldInTol = 1e-8
@@ -310,17 +296,8 @@ func (c Config) withDefaults() Config {
 	if c.BatchCells == 0 {
 		c.BatchCells = 32768
 	}
-	if c.AnchorEvery == 0 {
-		c.AnchorEvery = 2
-	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 25
-	}
-	if c.WatchdogRetries == 0 {
-		c.WatchdogRetries = 5
-	}
-	if c.WatchdogExplode == 0 { //lint:ignore floatcmp zero config value means unset
-		c.WatchdogExplode = 100
 	}
 	return c
 }
@@ -332,8 +309,14 @@ func (c Config) validate(n, m, l int, method Method) error {
 	if c.K > n {
 		return fmt.Errorf("core: K=%d must be ≤ N=%d", c.K, n)
 	}
-	if c.Lambda < 0 {
-		return errors.New("core: Lambda must be nonnegative")
+	if c.MaxIter < 0 {
+		return fmt.Errorf("core: MaxIter=%d must be positive", c.MaxIter)
+	}
+	if !(c.Lambda >= 0) || math.IsInf(c.Lambda, 1) {
+		return fmt.Errorf("core: Lambda=%v must be finite and nonnegative", c.Lambda)
+	}
+	if !(c.LearningRate >= 0) || math.IsInf(c.LearningRate, 1) {
+		return fmt.Errorf("core: LearningRate=%v must be finite and nonnegative", c.LearningRate)
 	}
 	if c.P < 1 {
 		return errors.New("core: P must be at least 1")
@@ -358,13 +341,8 @@ func (c Config) validate(n, m, l int, method Method) error {
 	if c.Weights != nil && c.Updater != Multiplicative {
 		return fmt.Errorf("core: weighted objective requires the multiplicative updater, got %s (allowed updaters: multiplicative)", c.Updater)
 	}
-	if c.Updater.Stochastic() {
-		if c.BatchCells < 1 {
-			return fmt.Errorf("core: BatchCells must be positive for the %s updater", c.Updater)
-		}
-		if c.AnchorEvery < 1 {
-			return fmt.Errorf("core: AnchorEvery must be positive for the %s updater", c.Updater)
-		}
+	if c.Updater.Stochastic() && c.BatchCells < 1 {
+		return fmt.Errorf("core: BatchCells must be positive for the %s updater", c.Updater)
 	}
 	return nil
 }

@@ -101,7 +101,7 @@ func landmarksFor(si *mat.Dense, ix *landmark.Index, method Method, cfg Config) 
 		return nil, nil
 	}
 	if ix != nil && cfg.LandmarkSource == KMeansCenters {
-		return ix.KCenters(cfg.K, cfg.KMeansMaxIter, cfg.Seed)
+		return ix.KCenters(cfg.K, kmeansMaxIter, cfg.Seed)
 	}
 	return generateLandmarks(si, cfg)
 }
@@ -258,7 +258,6 @@ func runMultiplicative(model *Model, in *input, graph *spatial.Graph, tr *traine
 	// stable, so one fetch serves every element update.
 	ud := u.Data()
 	numUD, denUD := numU.Data(), denU.Data()
-	eps := cfg.Eps
 
 	return tr.loop(model, func() float64 {
 		// ---- U step: U ⊙ (R_Ω(X)Vᵀ + λDU) ⊘ (R_Ω(UV)Vᵀ + λWU) ----

@@ -267,6 +267,23 @@ func TestFitValidation(t *testing.T) {
 	if _, err := Fit(x, omega, 0, SMF, Config{K: 3, MaxIter: 1}); err == nil {
 		t.Fatal("expected L=0 error for spatial method")
 	}
+	// smfl -maxiter/-lambda/-lr reach Config as given, and withDefaults
+	// replaces only zeros.
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"MaxIter -1", Config{K: 3, MaxIter: -1}},
+		{"Lambda NaN", Config{K: 3, MaxIter: 1, Lambda: math.NaN()}},
+		{"Lambda +Inf", Config{K: 3, MaxIter: 1, Lambda: math.Inf(1)}},
+		{"LearningRate -1e-3", Config{K: 3, MaxIter: 1, Updater: GradientDescent, LearningRate: -1e-3}},
+		{"LearningRate NaN", Config{K: 3, MaxIter: 1, Updater: GradientDescent, LearningRate: math.NaN()}},
+		{"LearningRate +Inf", Config{K: 3, MaxIter: 1, Updater: GradientDescent, LearningRate: math.Inf(1)}},
+	} {
+		if _, err := Fit(x, omega, l, SMF, tc.cfg); err == nil {
+			t.Fatalf("%s: expected a validation error", tc.name)
+		}
+	}
 	// A row has at most N−1 neighbors; the graph builders size their
 	// neighbor slots from N·P, so a larger P must be refused up front.
 	for _, p := range []int{50, 1 << 62} {

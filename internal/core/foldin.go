@@ -22,11 +22,12 @@ import (
 // which is Formula 13 restricted to the reconstruction term (a new row has
 // no edges in the training graph, so the Laplacian terms vanish).
 // rows is R×M in the same normalized units as the training matrix; omega
-// marks its observed entries (nil = fully observed). It returns the R×K
-// coefficient block. Rows freeze individually once their relative objective
-// change drops below Config.FoldInTol; Config.Ctx, when set, cancels the
-// batch at an iteration boundary, returning the coefficients computed so far
-// with an error wrapping ErrInterrupted.
+// marks its observed entries (nil = fully observed); every row needs at
+// least one observed cell. It returns the R×K coefficient block. Rows
+// freeze individually once their relative objective change drops below
+// Config.FoldInTol; Config.Ctx, when set, cancels the batch at an iteration
+// boundary, returning the coefficients computed so far with an error
+// wrapping ErrInterrupted.
 //
 // FoldIn only reads the receiver (V, Config) and allocates all scratch
 // locally, so concurrent calls against one Model are safe — audited together
@@ -47,6 +48,17 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 	}
 	if or, oc := omega.Dims(); or != r || oc != cols {
 		return nil, errors.New("core: FoldIn mask shape mismatch")
+	}
+	// A row with nothing observed has no data to fit: its coefficients would
+	// go to zero, answering every column's training minimum as an imputation.
+	for i := 0; i < r; i++ {
+		seen := false
+		for j := 0; j < cols && !seen; j++ {
+			seen = omega.Observed(i, j)
+		}
+		if !seen {
+			return nil, fmt.Errorf("core: FoldIn row %d has no observed cell", i)
+		}
 	}
 	rx := omega.Project(nil, rows)
 	if !rx.IsFinite() || mat.Min(rx) < 0 {
@@ -78,10 +90,6 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 				m.Placer.WarmStart(u.Row(i), si)
 			}
 		}
-	}
-	eps := m.Config.Eps
-	if eps == 0 { //lint:ignore floatcmp zero config value means unset
-		eps = 1e-12
 	}
 	tol := m.Config.FoldInTol
 	if tol <= 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -118,6 +119,18 @@ func TestFoldInValidation(t *testing.T) {
 	}
 	if _, err := model.FoldIn(test, mat.FullMask(1, 6), 10); err == nil {
 		t.Fatal("expected mask shape error")
+	}
+	// A row with no observed cell has nothing to fold in; answering it would
+	// report the training minimum of every column as an imputation.
+	blank := mat.FullMask(2, 6)
+	for j := 0; j < 6; j++ {
+		blank.Hide(1, j)
+	}
+	if _, err := model.FoldIn(test.Slice(0, 2, 0, 6), blank, 10); err == nil || !strings.Contains(err.Error(), "row 1 ") {
+		t.Fatalf("FoldIn with an all-hidden row 1: got %v, want an error naming row 1", err)
+	}
+	if _, err := model.CompleteRows(test.Slice(0, 2, 0, 6), blank, 10); err == nil {
+		t.Fatal("CompleteRows must refuse an all-hidden row")
 	}
 }
 

@@ -19,9 +19,9 @@ func generateLandmarks(si *mat.Dense, cfg Config) (*mat.Dense, error) {
 	case KMeansCenters:
 		res, err := kmeans.Run(si, kmeans.Config{
 			K:        cfg.K,
-			MaxIter:  cfg.KMeansMaxIter,
+			MaxIter:  kmeansMaxIter,
 			Seed:     cfg.Seed,
-			Restarts: cfg.KMeansRestarts,
+			Restarts: kmeansRestarts,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: landmark clustering: %w", err)

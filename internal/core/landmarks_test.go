@@ -22,7 +22,7 @@ func clusteredSI(t *testing.T) *mat.Dense {
 
 func TestKMeansLandmarksNearClusterCenters(t *testing.T) {
 	si := clusteredSI(t)
-	c, err := generateLandmarks(si, Config{K: 3, Seed: 1, KMeansRestarts: 4}.withDefaults())
+	c, err := generateLandmarks(si, Config{K: 3, Seed: 1}.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,9 @@ type modelWire struct {
 
 // configWire mirrors Config minus the runtime-only fields: the Weights
 // matrix (a training-time input, not fitted state), Ctx, and CheckpointPath
-// (a checkpoint already knows where it lives).
+// (a checkpoint already knows where it lives). Save writes the fixed solver
+// constants into KMeansMaxIter, KMeansRestarts, Eps, WatchdogRetries,
+// WatchdogExplode and AnchorEvery; Load ignores them.
 type configWire struct {
 	K              int
 	Lambda         float64
@@ -102,13 +104,13 @@ func (m *Model) Save(w io.Writer) error {
 		Method: m.Method,
 		Config: configWire{
 			K: cfg.K, Lambda: cfg.Lambda, P: cfg.P, MaxIter: cfg.MaxIter,
-			Tol: cfg.Tol, Seed: cfg.Seed, KMeansMaxIter: cfg.KMeansMaxIter,
-			KMeansRestarts: cfg.KMeansRestarts, LearningRate: cfg.LearningRate,
-			Eps: cfg.Eps, Updater: cfg.Updater, LandmarkSource: cfg.LandmarkSource,
+			Tol: cfg.Tol, Seed: cfg.Seed, KMeansMaxIter: kmeansMaxIter,
+			KMeansRestarts: kmeansRestarts, LearningRate: cfg.LearningRate,
+			Eps: eps, Updater: cfg.Updater, LandmarkSource: cfg.LandmarkSource,
 			FoldInTol: cfg.FoldInTol, CheckpointEvery: cfg.CheckpointEvery,
-			WatchdogRetries: cfg.WatchdogRetries, WatchdogExplode: cfg.WatchdogExplode,
+			WatchdogRetries: watchdogRetries, WatchdogExplode: watchdogExplode,
 			SpatialIndex: cfg.SpatialIndex,
-			BatchCells:   cfg.BatchCells, AnchorEvery: cfg.AnchorEvery,
+			BatchCells:   cfg.BatchCells, AnchorEvery: anchorEvery,
 			GraphMode: cfg.GraphMode,
 		},
 		L: m.L, U: u, V: v, C: c,
@@ -170,13 +172,10 @@ func Load(r io.Reader) (*Model, error) {
 		Method: wire.Method,
 		Config: Config{
 			K: cw.K, Lambda: cw.Lambda, P: cw.P, MaxIter: cw.MaxIter,
-			Tol: cw.Tol, Seed: cw.Seed, KMeansMaxIter: cw.KMeansMaxIter,
-			KMeansRestarts: cw.KMeansRestarts, LearningRate: cw.LearningRate,
-			Eps: cw.Eps, Updater: cw.Updater, LandmarkSource: cw.LandmarkSource,
+			Tol: cw.Tol, Seed: cw.Seed, LearningRate: cw.LearningRate,
+			Updater: cw.Updater, LandmarkSource: cw.LandmarkSource,
 			FoldInTol: cw.FoldInTol, CheckpointEvery: cw.CheckpointEvery,
-			WatchdogRetries: cw.WatchdogRetries, WatchdogExplode: cw.WatchdogExplode,
-			SpatialIndex: cw.SpatialIndex,
-			BatchCells:   cw.BatchCells, AnchorEvery: cw.AnchorEvery,
+			SpatialIndex: cw.SpatialIndex, BatchCells: cw.BatchCells,
 			GraphMode: cw.GraphMode,
 		},
 		L: wire.L, U: u, V: v, C: c, Norm: norm,
@@ -251,9 +250,8 @@ func validateLoaded(m *Model) error {
 	default:
 		return fmt.Errorf("core: load: unknown updater %d", int(m.Config.Updater))
 	}
-	if m.Config.BatchCells < 0 || m.Config.AnchorEvery < 0 {
-		return fmt.Errorf("core: load: negative stochastic config (batch %d, anchor %d)",
-			m.Config.BatchCells, m.Config.AnchorEvery)
+	if m.Config.BatchCells < 0 {
+		return fmt.Errorf("core: load: negative stochastic batch size %d", m.Config.BatchCells)
 	}
 	if m.Placer != nil {
 		if d := m.Placer.Dim(); d != m.L {

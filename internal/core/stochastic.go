@@ -81,7 +81,7 @@ func runStochastic(model *Model, src mat.RowSource, graph *spatial.Graph, tr *tr
 		preSample = sampler.State()
 		preAge = tr.anchorAge
 
-		if svrg && (tr.anchorU == nil || tr.anchorAge >= cfg.AnchorEvery) {
+		if svrg && (tr.anchorU == nil || tr.anchorAge >= anchorEvery) {
 			if tr.anchorU == nil {
 				tr.anchorU = u.Clone()
 				tr.anchorV = v.Clone()

@@ -125,7 +125,6 @@ func TestStochasticCrashResume(t *testing.T) {
 			cfg.Updater = up
 			cfg.LearningRate = 5e-3
 			cfg.BatchCells = 50
-			cfg.AnchorEvery = 2
 
 			full, err := Fit(x, omega, l, SMFL, cfg)
 			if err != nil {
@@ -195,12 +194,6 @@ func TestStochasticConfigValidation(t *testing.T) {
 	cfg.BatchCells = -1
 	if _, err := Fit(x, omega, l, SMFL, cfg); err == nil {
 		t.Fatal("negative BatchCells must be rejected")
-	}
-	cfg = quickCfg(3)
-	cfg.Updater = SVRG
-	cfg.AnchorEvery = -2
-	if _, err := Fit(x, omega, l, SMFL, cfg); err == nil {
-		t.Fatal("negative AnchorEvery must be rejected")
 	}
 	cfg = quickCfg(3)
 	cfg.Updater = Updater(99)

@@ -44,7 +44,6 @@ func stochStoreCfg(u Updater) Config {
 	cfg.Updater = u
 	cfg.LearningRate = 5e-3
 	cfg.BatchCells = 64
-	cfg.AnchorEvery = 3
 	return cfg
 }
 

@@ -85,9 +85,6 @@ func newTrainer(method Method, cfg Config) *trainer {
 // begin allocates the watchdog snapshot from the model's current (initial or
 // resumed) factors.
 func (tr *trainer) begin(model *Model) {
-	if tr.cfg.WatchdogRetries < 0 {
-		return
-	}
 	tr.goodU = model.U.Clone()
 	tr.goodV = model.V.Clone()
 	tr.goodObj = lastObj(model)
@@ -145,9 +142,6 @@ func (tr *trainer) fireIterFault(model *Model, it int) error {
 // sweeps (one pooled dispatch per factor, O((N+M)·K) against the iteration's
 // O(|Ω|·K)) cover factor entries outside Ω that the objective never touches.
 func (tr *trainer) healthy(obj float64, u, v *mat.Dense) (ok bool, reason string) {
-	if tr.cfg.WatchdogRetries < 0 {
-		return true, ""
-	}
 	if !mat.FiniteAll(u) {
 		return false, "non-finite U"
 	}
@@ -157,7 +151,7 @@ func (tr *trainer) healthy(obj float64, u, v *mat.Dense) (ok bool, reason string
 	if math.IsNaN(obj) || math.IsInf(obj, 0) {
 		return false, "non-finite objective"
 	}
-	if tr.haveGood && obj > tr.cfg.WatchdogExplode*math.Max(tr.goodObj, 1e-9) {
+	if tr.haveGood && obj > watchdogExplode*math.Max(tr.goodObj, 1e-9) {
 		return false, fmt.Sprintf("objective explosion %.3g -> %.3g", tr.goodObj, obj)
 	}
 	return true, ""
@@ -172,7 +166,7 @@ func (tr *trainer) healthy(obj float64, u, v *mat.Dense) (ok bool, reason string
 // good state, tagged partial.
 func (tr *trainer) recover(model *Model, it int, reason string) error {
 	tr.retries++
-	if tr.retries > tr.cfg.WatchdogRetries {
+	if tr.retries > watchdogRetries {
 		model.U.CopyFrom(tr.goodU)
 		model.V.CopyFrom(tr.goodV)
 		model.Partial = true
@@ -204,9 +198,6 @@ func (tr *trainer) recover(model *Model, it int, reason string) error {
 // objective, reset the consecutive-retry counter.
 func (tr *trainer) commit(model *Model, obj float64) {
 	tr.retries = 0
-	if tr.cfg.WatchdogRetries < 0 {
-		return
-	}
 	tr.goodU.CopyFrom(model.U)
 	tr.goodV.CopyFrom(model.V)
 	tr.goodObj = obj

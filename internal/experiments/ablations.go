@@ -40,7 +40,7 @@ func AblationLandmarkSource(o Options) (*Table, error) {
 			cfg := o.mfConfig(m, o.Seed)
 			cfg.LandmarkSource = s.src
 			imp := &impute.MF{Method: core.SMFL, Cfg: cfg}
-			spec := dataset.MissingSpec{Rate: o.MissingRate, KeepCompleteRows: keepRows(ds)}
+			spec := dataset.MissingSpec{Rate: missingRate, KeepCompleteRows: keepRows(ds)}
 			out, err := o.runImputer(cellKey("ablation-landmark-source", name, s.name), imp, ds, spec)
 			if err != nil {
 				return nil, err
@@ -74,7 +74,7 @@ func AblationUpdater(o Options) (*Table, error) {
 				cfg := o.mfConfig(m, o.Seed)
 				cfg.Updater = upd
 				imp := &impute.MF{Method: method, Cfg: cfg}
-				spec := dataset.MissingSpec{Rate: o.MissingRate, KeepCompleteRows: keepRows(ds)}
+				spec := dataset.MissingSpec{Rate: missingRate, KeepCompleteRows: keepRows(ds)}
 				out, err := o.runImputer(cellKey("ablation-updater", name, method.String(), updaterName(upd)), imp, ds, spec)
 				if err != nil {
 					return nil, err

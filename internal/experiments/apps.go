@@ -89,7 +89,7 @@ func Fig4b(o Options) (*Table, error) {
 	ds := res.Data
 	_, m := ds.Dims()
 	k := maxLabel(res.Labels) + 1
-	mask, err := dataset.InjectMissing(ds, dataset.MissingSpec{Rate: o.MissingRate, Seed: o.Seed})
+	mask, err := dataset.InjectMissing(ds, dataset.MissingSpec{Rate: missingRate, Seed: o.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +141,7 @@ func Fig5(o Options) (*Table, error) {
 	}
 	ds := res.Data
 	n, m := ds.Dims()
-	mask, err := dataset.InjectMissing(ds, dataset.MissingSpec{Rate: o.MissingRate, Seed: o.Seed})
+	mask, err := dataset.InjectMissing(ds, dataset.MissingSpec{Rate: missingRate, Seed: o.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +199,7 @@ func Fig1(o Options) (*Table, error) {
 	}
 	ds := res.Data
 	n, m := ds.Dims()
-	mask, err := dataset.InjectMissing(ds, dataset.MissingSpec{Rate: o.MissingRate, Seed: o.Seed})
+	mask, err := dataset.InjectMissing(ds, dataset.MissingSpec{Rate: missingRate, Seed: o.Seed})
 	if err != nil {
 		return nil, err
 	}

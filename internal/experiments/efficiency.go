@@ -54,7 +54,7 @@ func Fig9(o Options) (*Table, error) {
 				}
 				ds := full.Data.Head(sz)
 				mask, err := dataset.InjectMissing(ds, dataset.MissingSpec{
-					Rate: o.MissingRate, Seed: o.Seed, KeepCompleteRows: keepRows(ds),
+					Rate: missingRate, Seed: o.Seed, KeepCompleteRows: keepRows(ds),
 				})
 				if err != nil {
 					return nil, err

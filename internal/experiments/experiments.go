@@ -17,6 +17,13 @@ import (
 	"github.com/spatialmf/smfl/internal/dataset"
 )
 
+// The paper's rates of missing and of erroneous cells (Table VII sweeps its
+// own missing rates).
+const (
+	missingRate = 0.1
+	errorRate   = 0.1
+)
+
 // Options control the scale and budgets of an experiment run.
 type Options struct {
 	// Scale shrinks the paper's dataset sizes (1 = full size). The default
@@ -26,9 +33,6 @@ type Options struct {
 	Runs int
 	// Seed is the base RNG seed; run r uses Seed+r.
 	Seed int64
-	// MissingRate and ErrorRate default to the paper's 10%.
-	MissingRate float64
-	ErrorRate   float64
 	// Budget is the per-method wall-clock budget standing in for the paper's
 	// 24 h OOT limit. A method whose first run exceeds it reports OOT.
 	Budget time.Duration
@@ -63,12 +67,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Runs <= 0 {
 		o.Runs = 5
-	}
-	if o.MissingRate <= 0 {
-		o.MissingRate = 0.1
-	}
-	if o.ErrorRate <= 0 {
-		o.ErrorRate = 0.1
 	}
 	if o.Budget <= 0 {
 		o.Budget = 10 * time.Minute

@@ -108,7 +108,7 @@ func (o Options) imputationTable(id, title string, spatialAlsoMissing bool) (*Ta
 		}
 		ds := res.Data
 		_, m := ds.Dims()
-		spec := dataset.MissingSpec{Rate: o.MissingRate, KeepCompleteRows: keepRows(ds)}
+		spec := dataset.MissingSpec{Rate: missingRate, KeepCompleteRows: keepRows(ds)}
 		if spatialAlsoMissing {
 			cols := make([]int, m)
 			for j := range cols {

@@ -43,7 +43,7 @@ type journalRecord struct {
 // user explicitly reruns) are excluded.
 func (o Options) fingerprint() string {
 	fp := fmt.Sprintf("scale=%g runs=%d seed=%d missing=%g error=%g maxiter=%d",
-		o.Scale, o.Runs, o.Seed, o.MissingRate, o.ErrorRate, o.MaxIter)
+		o.Scale, o.Runs, o.Seed, missingRate, errorRate, o.MaxIter)
 	// Appended only when non-default so journals written before the spatial
 	// index existed keep resuming (their cells were all exact-mode).
 	if o.SpatialIndex != core.SpatialExact {

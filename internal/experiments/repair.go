@@ -38,7 +38,7 @@ func (o Options) runRepairer(rep repair.Repairer, ds *dataset.Dataset) methodOut
 	var total float64
 	for r := 0; r < o.Runs; r++ {
 		corrupted, dirty, err := dataset.InjectErrors(ds, dataset.ErrorSpec{
-			Rate: o.ErrorRate, Seed: o.Seed + int64(r), SpareSI: true,
+			Rate: errorRate, Seed: o.Seed + int64(r), SpareSI: true,
 		})
 		if err != nil {
 			return methodOutcome{note: "ERR"}

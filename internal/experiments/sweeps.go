@@ -30,7 +30,7 @@ func (o Options) paramSweep(id, title, param string, values []string, configure 
 				cfg := o.mfConfig(m, o.Seed)
 				configure(&cfg, idx)
 				imp := &impute.MF{Method: method, Cfg: cfg}
-				spec := dataset.MissingSpec{Rate: o.MissingRate, KeepCompleteRows: keepRows(ds)}
+				spec := dataset.MissingSpec{Rate: missingRate, KeepCompleteRows: keepRows(ds)}
 				out, err := o.runImputer(cellKey(id, name, method.String(), values[idx]), imp, ds, spec)
 				if err != nil {
 					return nil, err

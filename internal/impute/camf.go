@@ -16,17 +16,20 @@ import (
 // a discriminator. Like the original, it treats spatial information only as
 // clustering prior knowledge, not as a smoothness constraint — which is why
 // the paper finds it underperforms on spatial data. Its per-cluster dense
-// factors give it the paper's heavy memory profile; MaxTuples mirrors the
-// reported OOM on the Vehicle dataset.
+// factors give it the paper's heavy memory profile; camfMaxTuples mirrors
+// the reported OOM on the Vehicle dataset.
 type CAMF struct {
-	Clusters  int // spatial clusters; default 5
-	Rank      int // per-cluster factorization rank; default 8
-	ALSIters  int // alternating least-squares iterations; default 15
-	AdvIters  int // adversarial refinement steps; default 100
-	Batch     int // adversarial batch size; default 64
-	Seed      int64
-	MaxTuples int // refuse inputs above this (OOM); default 50000
+	Seed int64
 }
+
+const (
+	camfMaxTuples = 50000 // the largest input CAMF accepts; above it CAMF reports OOM
+	camfClusters  = 5     // spatial clusters, at most N
+	camfRank      = 8     // per-cluster factorization rank, below M
+	camfALSIters  = 15    // alternating least-squares iterations
+	camfAdvIters  = 100   // adversarial refinement steps
+	camfBatch     = 64    // adversarial batch size
+)
 
 // Name implements Imputer.
 func (c *CAMF) Name() string { return "CAMF" }
@@ -37,34 +40,11 @@ func (c *CAMF) Impute(x *mat.Dense, omega *mat.Mask, l int) (*mat.Dense, error) 
 		return nil, err
 	}
 	n, m := x.Dims()
-	limit := c.MaxTuples
-	if limit <= 0 {
-		limit = 50000
+	if n > camfMaxTuples {
+		return nil, &ResourceLimitError{Method: "CAMF", Kind: "OOM", N: n, Limit: camfMaxTuples}
 	}
-	if n > limit {
-		return nil, &ResourceLimitError{Method: "CAMF", Kind: "OOM", N: n, Limit: limit}
-	}
-	clusters := c.Clusters
-	if clusters <= 0 {
-		clusters = 5
-	}
-	if clusters > n {
-		clusters = n
-	}
-	rank := c.Rank
-	if rank <= 0 {
-		rank = 8
-	}
-	if rank >= m {
-		rank = m - 1
-	}
-	if rank < 1 {
-		rank = 1
-	}
-	alsIters := c.ALSIters
-	if alsIters <= 0 {
-		alsIters = 15
-	}
+	clusters := min(camfClusters, n)
+	rank := max(min(camfRank, m-1), 1)
 
 	// Cluster rows on SI (filled with column means where hidden).
 	si := x.Slice(0, n, 0, maxCols(l, 1))
@@ -90,7 +70,7 @@ func (c *CAMF) Impute(x *mat.Dense, omega *mat.Mask, l int) (*mat.Dense, error) 
 		if len(rows) == 0 {
 			continue
 		}
-		if err := alsComplete(completed, x, omega, rows, rank, alsIters, rng); err != nil {
+		if err := alsComplete(completed, x, omega, rows, rank, camfALSIters, rng); err != nil {
 			return nil, err
 		}
 	}
@@ -98,7 +78,7 @@ func (c *CAMF) Impute(x *mat.Dense, omega *mat.Mask, l int) (*mat.Dense, error) 
 	// Adversarial refinement: a discriminator separates fully observed rows
 	// from completed-with-holes rows; hidden cells take a gradient step to
 	// fool it. Skipped when there are no complete rows to learn from.
-	c.adversarialRefine(completed, x, omega, rng)
+	adversarialRefine(completed, x, omega, rng)
 
 	return omega.Recover(x, completed), nil
 }
@@ -172,7 +152,7 @@ func alsComplete(completed, x *mat.Dense, omega *mat.Mask, rows []int, rank, ite
 
 // adversarialRefine nudges hidden cells toward the discriminator's notion of
 // a realistic row.
-func (c *CAMF) adversarialRefine(completed, x *mat.Dense, omega *mat.Mask, rng *rand.Rand) {
+func adversarialRefine(completed, x *mat.Dense, omega *mat.Mask, rng *rand.Rand) {
 	n, m := x.Dims()
 	var completeRows, holedRows []int
 	for i := 0; i < n; i++ {
@@ -185,23 +165,14 @@ func (c *CAMF) adversarialRefine(completed, x *mat.Dense, omega *mat.Mask, rng *
 	if len(completeRows) < 8 || len(holedRows) == 0 {
 		return
 	}
-	advIters := c.AdvIters
-	if advIters <= 0 {
-		advIters = 100
-	}
-	batch := c.Batch
-	if batch <= 0 {
-		batch = 64
-	}
 	disc := nn.NewMLP(rng, []int{m, 2 * m, 1}, []nn.Activation{nn.ReLU, nn.Sigmoid})
-	adam := nn.DefaultAdam
 	const refineLR = 0.05
-	for it := 0; it < advIters; it++ {
+	for it := 0; it < camfAdvIters; it++ {
 		// Train D on half real (complete) / half fake (completed) rows.
-		xb := mat.NewDense(batch, m)
-		yb := mat.NewDense(batch, 1)
-		idx := make([]int, batch)
-		for t := 0; t < batch; t++ {
+		xb := mat.NewDense(camfBatch, m)
+		yb := mat.NewDense(camfBatch, 1)
+		idx := make([]int, camfBatch)
+		for t := 0; t < camfBatch; t++ {
 			if t%2 == 0 {
 				r := completeRows[rng.Intn(len(completeRows))]
 				copy(xb.Row(t), completed.Row(r))
@@ -216,16 +187,16 @@ func (c *CAMF) adversarialRefine(completed, x *mat.Dense, omega *mat.Mask, rng *
 		pred := disc.Forward(xb)
 		_, grad := nn.BCE(pred, yb, nil)
 		disc.Backward(grad)
-		disc.Step(adam)
+		disc.Step()
 
 		// Refine the fake rows' hidden cells to increase D's output.
 		pred = disc.Forward(xb)
-		gradFool := mat.NewDense(batch, 1)
-		for t := 1; t < batch; t += 2 {
+		gradFool := mat.NewDense(camfBatch, 1)
+		for t := 1; t < camfBatch; t += 2 {
 			gradFool.Set(t, 0, -1/(pred.At(t, 0)+1e-7))
 		}
 		gin := disc.Backward(gradFool)
-		for t := 1; t < batch; t += 2 {
+		for t := 1; t < camfBatch; t += 2 {
 			r := idx[t]
 			if r < 0 {
 				continue

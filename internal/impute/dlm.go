@@ -14,9 +14,10 @@ import (
 // neighbor values), not a synthetic average. Under a squared-distance kernel
 // the continuous maximizer is the distance-weighted neighbor average, so the
 // discrete argmax is the candidate closest to it.
-type DLM struct {
-	K int // neighborhood size; default 10
-}
+type DLM struct{}
+
+// dlmK is DLM's neighborhood size.
+const dlmK = 10
 
 // Name implements Imputer.
 func (d *DLM) Name() string { return "DLM" }
@@ -25,10 +26,6 @@ func (d *DLM) Name() string { return "DLM" }
 func (d *DLM) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) {
 	if err := checkInput(x, omega); err != nil {
 		return nil, err
-	}
-	k := d.K
-	if k <= 0 {
-		k = 10
 	}
 	means, err := columnMeans(x, omega)
 	if err != nil {
@@ -42,7 +39,7 @@ func (d *DLM) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) {
 			continue
 		}
 		for _, j := range miss {
-			nbrs, dists := neighborsWithDistances(x, omega, i, j, k)
+			nbrs, dists := neighborsWithDistances(x, omega, i, j, dlmK)
 			if len(nbrs) == 0 {
 				out.Set(i, j, means[j])
 				continue

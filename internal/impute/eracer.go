@@ -13,12 +13,12 @@ import (
 // of the tuple's neighbors, and the models are applied iteratively until the
 // imputed values stabilize — belief-propagation-style relaxation with linear
 // conditionals.
-type ERACER struct {
-	K      int     // neighbors contributing the relational term; default 5
-	Sweeps int     // relaxation sweeps; default 8
-	Alpha  float64 // ridge strength; default 1e-3
-	Tol    float64 // max-change early stop; default 1e-4
-}
+type ERACER struct{}
+
+const (
+	eracerK      = 5 // neighbors contributing the relational term
+	eracerSweeps = 8 // relaxation sweeps
+)
 
 // Name implements Imputer.
 func (e *ERACER) Name() string { return "ERACER" }
@@ -28,29 +28,13 @@ func (e *ERACER) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error
 	if err := checkInput(x, omega); err != nil {
 		return nil, err
 	}
-	k := e.K
-	if k <= 0 {
-		k = 5
-	}
-	sweeps := e.Sweeps
-	if sweeps <= 0 {
-		sweeps = 8
-	}
-	alpha := e.Alpha
-	if alpha <= 0 {
-		alpha = 1e-3
-	}
-	tol := e.Tol
-	if tol <= 0 {
-		tol = 1e-4
-	}
 	n, m := x.Dims()
 
 	// Precompute each row's k nearest neighbors once (shared observed
 	// attributes), the relational structure of the model.
 	nbrs := make([][]int, n)
 	for i := 0; i < n; i++ {
-		nbrs[i] = neighborsFor(x, omega, i, k, -1)
+		nbrs[i] = neighborsFor(x, omega, i, eracerK, -1)
 	}
 
 	cur, err := meanFilled(x, omega)
@@ -82,7 +66,7 @@ func (e *ERACER) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error
 
 	dim := m + 1 // (m-1 attributes) + neighbor mean + intercept
 	buf := make([]float64, 0, dim)
-	for sweep := 0; sweep < sweeps; sweep++ {
+	for sweep := 0; sweep < eracerSweeps; sweep++ {
 		var maxChange float64
 		for j := 0; j < m; j++ {
 			if omega.ColObservedCount(j) == n {
@@ -103,7 +87,7 @@ func (e *ERACER) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error
 				copy(a.Row(t), feature(i, j, buf))
 				b[t] = cur.At(i, j)
 			}
-			w, err := linalg.Ridge(a, b, alpha)
+			w, err := linalg.Ridge(a, b, ridgeAlpha)
 			if err != nil {
 				continue
 			}
@@ -122,7 +106,7 @@ func (e *ERACER) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error
 				cur.Set(i, j, pred)
 			}
 		}
-		if maxChange < tol {
+		if maxChange < stopTol {
 			break
 		}
 	}

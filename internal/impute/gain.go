@@ -11,16 +11,18 @@ import (
 // completes rows from (noise-filled data, mask); the discriminator, given a
 // hint vector, guesses which cells were imputed. Architecture and losses
 // follow the original paper at small MLP widths suitable for CPU training.
-// Inputs are expected in [0,1] (the generator output is a sigmoid).
+// Inputs are expected in [0,1] (the generator output is a sigmoid). Both
+// networks have two hidden layers of width 4·M.
 type GAIN struct {
-	Hidden   int     // hidden width; default 4·M
-	Iters    int     // adversarial steps; default 300
-	Batch    int     // minibatch size; default 128
-	HintRate float64 // default 0.9
-	Alpha    float64 // reconstruction weight in the G loss; default 10
-	LR       float64 // Adam learning rate; default 1e-3
-	Seed     int64
+	Seed int64
 }
+
+const (
+	gainIters    = 300 // adversarial steps
+	gainBatch    = 128 // minibatch size, at most N
+	gainHintRate = 0.9 // share of mask cells the hint reveals
+	gainAlpha    = 10  // reconstruction weight in the G loss
+)
 
 // Name implements Imputer.
 func (g *GAIN) Name() string { return "GAIN" }
@@ -31,33 +33,8 @@ func (g *GAIN) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) 
 		return nil, err
 	}
 	n, m := x.Dims()
-	hidden := g.Hidden
-	if hidden <= 0 {
-		hidden = 4 * m
-	}
-	iters := g.Iters
-	if iters <= 0 {
-		iters = 300
-	}
-	batch := g.Batch
-	if batch <= 0 {
-		batch = 128
-	}
-	if batch > n {
-		batch = n
-	}
-	hintRate := g.HintRate
-	if hintRate <= 0 {
-		hintRate = 0.9
-	}
-	alpha := g.Alpha
-	if alpha <= 0 {
-		alpha = 10
-	}
-	adam := nn.DefaultAdam
-	if g.LR > 0 {
-		adam.LR = g.LR
-	}
+	hidden := 4 * m
+	batch := min(gainBatch, n)
 	rng := rand.New(rand.NewSource(g.Seed))
 	gen := nn.NewMLP(rng, []int{2 * m, hidden, hidden, m}, []nn.Activation{nn.ReLU, nn.ReLU, nn.Sigmoid})
 	disc := nn.NewMLP(rng, []int{2 * m, hidden, hidden, m}, []nn.Activation{nn.ReLU, nn.ReLU, nn.Sigmoid})
@@ -73,7 +50,7 @@ func (g *GAIN) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) 
 	}
 
 	rows := make([]int, batch)
-	for it := 0; it < iters; it++ {
+	for it := 0; it < gainIters; it++ {
 		for t := range rows {
 			rows[t] = rng.Intn(n)
 		}
@@ -111,7 +88,7 @@ func (g *GAIN) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) 
 		for t := 0; t < batch; t++ {
 			mr, hr, br := mb.Row(t), hint.Row(t), bsel.Row(t)
 			for j := 0; j < m; j++ {
-				if rng.Float64() < hintRate {
+				if rng.Float64() < gainHintRate {
 					hr[j] = mr[j]
 					br[j] = 1
 				} else {
@@ -126,7 +103,7 @@ func (g *GAIN) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) 
 		wD := mat.Apply(nil, func(v float64) float64 { return 1 - v }, bsel)
 		_, gradD := nn.BCE(dout, mb, wD)
 		disc.Backward(gradD)
-		disc.Step(adam)
+		disc.Step()
 
 		// ---- Generator step. ----
 		xhat = gen.Forward(gin) // refresh caches after D changed nothing in G
@@ -175,12 +152,12 @@ func (g *GAIN) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) 
 			for t := 0; t < batch; t++ {
 				xr, mr, hr, gx := xb.Row(t), mb.Row(t), xhat.Row(t), gradXhat.Row(t)
 				for j := 0; j < m; j++ {
-					gx[j] += alpha * 2 * mr[j] * (hr[j] - xr[j]) / obsCnt
+					gx[j] += gainAlpha * 2 * mr[j] * (hr[j] - xr[j]) / obsCnt
 				}
 			}
 		}
 		gen.Backward(gradXhat)
-		gen.Step(adam)
+		gen.Step()
 	}
 
 	// Final imputation over the whole table.

@@ -32,22 +32,22 @@ func benchProblem(t *testing.T, n int, rate float64, seed int64) (*mat.Dense, *m
 	return res.Data.X, mask, res.Data.L
 }
 
-// allImputers lists every baseline with small budgets for fast tests.
+// allImputers lists every baseline; the MF family gets a small budget.
 func allImputers(t *testing.T) []Imputer {
 	t.Helper()
 	cfg := core.Config{K: 4, MaxIter: 60, Seed: 1}
 	return []Imputer{
 		Mean{},
-		&KNN{K: 4},
-		&KNNE{K: 4},
-		&LOESS{K: 12},
-		&IIM{Candidates: []int{5, 10}},
-		&MC{MaxIter: 30},
-		&DLM{K: 8},
-		&GAIN{Iters: 40, Batch: 32, Seed: 1, Hidden: 12},
-		&SoftImpute{MaxIter: 20},
-		&Iterative{Sweeps: 5},
-		&CAMF{Clusters: 3, Rank: 3, ALSIters: 6, AdvIters: 20, Seed: 1},
+		&KNN{},
+		&KNNE{},
+		&LOESS{},
+		&IIM{},
+		&MC{},
+		&DLM{},
+		&GAIN{Seed: 1},
+		&SoftImpute{},
+		&Iterative{},
+		&CAMF{Seed: 1},
 		&MF{Method: core.NMF, Cfg: cfg},
 		&MF{Method: core.SMF, Cfg: cfg},
 		&MF{Method: core.SMFL, Cfg: cfg},
@@ -146,29 +146,29 @@ func TestSpatialMFOrderingInvariants(t *testing.T) {
 	}
 }
 
+// The resource-limit tests pass inputs one row over the limit; the
+// refusal comes before any work, so zero matrices suffice.
 func TestIIMResourceLimit(t *testing.T) {
-	x, omega, l := benchProblem(t, 120, 0.1, 7)
-	imp := &IIM{MaxTuples: 50}
-	_, err := imp.Impute(x, omega, l)
+	n := iimMaxTuples + 1
+	_, err := (&IIM{}).Impute(mat.NewDense(n, 3), mat.FullMask(n, 3), 2)
 	var rle *ResourceLimitError
 	if !errors.As(err, &rle) {
 		t.Fatalf("expected ResourceLimitError, got %v", err)
 	}
-	if rle.Kind != "OOT" {
-		t.Fatalf("kind = %q", rle.Kind)
+	if rle.Kind != "OOT" || rle.N != n || rle.Limit != iimMaxTuples {
+		t.Fatalf("got %+v", rle)
 	}
 }
 
 func TestCAMFResourceLimit(t *testing.T) {
-	x, omega, l := benchProblem(t, 120, 0.1, 8)
-	imp := &CAMF{MaxTuples: 50}
-	_, err := imp.Impute(x, omega, l)
+	n := camfMaxTuples + 1
+	_, err := (&CAMF{}).Impute(mat.NewDense(n, 3), mat.FullMask(n, 3), 2)
 	var rle *ResourceLimitError
 	if !errors.As(err, &rle) {
 		t.Fatalf("expected ResourceLimitError, got %v", err)
 	}
-	if rle.Kind != "OOM" {
-		t.Fatalf("kind = %q", rle.Kind)
+	if rle.Kind != "OOM" || rle.N != n || rle.Limit != camfMaxTuples {
+		t.Fatalf("got %+v", rle)
 	}
 }
 
@@ -186,24 +186,30 @@ func TestMeanImputerExact(t *testing.T) {
 }
 
 func TestKNNUsesNearNeighbors(t *testing.T) {
-	// Two groups with distinct attribute values; the missing cell must take
-	// the value of its own group.
+	// Two groups with distinct attribute values, each large enough to fill
+	// the knnK neighbors; the missing cell must take the value of its own
+	// group.
 	x := mat.FromRows([][]float64{
 		{0.0, 0.0, 0.1},
 		{0.1, 0.0, 0.1},
 		{0.0, 0.1, 0.1},
+		{0.1, 0.1, 0.1},
+		{0.05, 0.05, 0.1},
 		{0.9, 0.9, 0.9},
 		{1.0, 0.9, 0.9},
+		{1.0, 1.0, 0.9},
+		{0.95, 0.95, 0.9},
+		{0.9, 0.95, 0.9},
 		{0.9, 1.0, 0.0}, // missing cell here, in the far group
 	})
-	omega := mat.FullMask(6, 3)
-	omega.Hide(5, 2)
-	out, err := (&KNN{K: 2}).Impute(x, omega, 2)
+	omega := mat.FullMask(11, 3)
+	omega.Hide(10, 2)
+	out, err := (&KNN{}).Impute(x, omega, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(out.At(5, 2)-0.9) > 1e-9 {
-		t.Fatalf("kNN fill = %v, want 0.9 (own group)", out.At(5, 2))
+	if math.Abs(out.At(10, 2)-0.9) > 1e-9 {
+		t.Fatalf("kNN fill = %v, want 0.9 (own group)", out.At(10, 2))
 	}
 }
 
@@ -237,7 +243,7 @@ func TestIterativeLearnsLinearRelation(t *testing.T) {
 func TestSoftImputeRecoversLowRank(t *testing.T) {
 	// Exact rank-2 matrix with 20% hidden: SoftImpute should fill well.
 	x, omega, l := lowRankProblem(t, 2)
-	out, err := (&SoftImpute{MaxIter: 80, Tol: 1e-6}).Impute(x, omega, l)
+	out, err := (&SoftImpute{}).Impute(x, omega, l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +258,7 @@ func TestSoftImputeRecoversLowRank(t *testing.T) {
 
 func TestMCRecoversLowRank(t *testing.T) {
 	x, omega, l := lowRankProblem(t, 3)
-	out, err := (&MC{MaxIter: 150}).Impute(x, omega, l)
+	out, err := (&MC{}).Impute(x, omega, l)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,12 +19,13 @@ func (Mean) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) {
 	return meanFilled(x, omega)
 }
 
+// knnK is the neighbor count of KNN and of each KNNE member.
+const knnK = 5
+
 // KNN is the classical k-nearest-neighbor imputer [6]: each hidden cell is
-// the average of that column over the k rows nearest in the shared observed
-// attributes.
-type KNN struct {
-	K int // neighbors; default 5
-}
+// the average of that column over the knnK rows nearest in the shared
+// observed attributes.
+type KNN struct{}
 
 // Name implements Imputer.
 func (k *KNN) Name() string { return "kNN" }
@@ -33,10 +34,6 @@ func (k *KNN) Name() string { return "kNN" }
 func (k *KNN) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) {
 	if err := checkInput(x, omega); err != nil {
 		return nil, err
-	}
-	kk := k.K
-	if kk <= 0 {
-		kk = 5
 	}
 	means, err := columnMeans(x, omega)
 	if err != nil {
@@ -50,7 +47,7 @@ func (k *KNN) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) {
 			continue
 		}
 		for _, j := range miss {
-			nbrs := neighborsFor(x, omega, i, kk, j)
+			nbrs := neighborsFor(x, omega, i, knnK, j)
 			if len(nbrs) == 0 {
 				out.Set(i, j, means[j])
 				continue
@@ -69,9 +66,7 @@ func (k *KNN) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) {
 // single-attribute subset of the tuple's observed columns, combined by
 // averaging. Using size-1 subsets keeps the ensemble count linear in M
 // while preserving the method's defining diversity.
-type KNNE struct {
-	K int // neighbors per ensemble member; default 5
-}
+type KNNE struct{}
 
 // Name implements Imputer.
 func (k *KNNE) Name() string { return "kNNE" }
@@ -80,10 +75,6 @@ func (k *KNNE) Name() string { return "kNNE" }
 func (k *KNNE) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) {
 	if err := checkInput(x, omega); err != nil {
 		return nil, err
-	}
-	kk := k.K
-	if kk <= 0 {
-		kk = 5
 	}
 	means, err := columnMeans(x, omega)
 	if err != nil {
@@ -103,7 +94,7 @@ func (k *KNNE) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) 
 				if a == j || !omega.Observed(i, a) {
 					continue
 				}
-				est, ok := knnOnAttribute(x, omega, i, j, a, kk)
+				est, ok := knnOnAttribute(x, omega, i, j, a, knnK)
 				if !ok {
 					continue
 				}

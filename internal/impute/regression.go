@@ -7,13 +7,22 @@ import (
 	"github.com/spatialmf/smfl/internal/mat"
 )
 
+// Settings shared by the baseline imputers.
+const (
+	ridgeAlpha = 1e-3 // ridge strength of every regression model
+	// stopTol stops the iterative imputers: the largest change of a sweep
+	// (ERACER, Iterative), or the relative residual (MC) or relative change
+	// (SoftImpute) of an iteration.
+	stopTol = 1e-4
+)
+
 // LOESS is local regression imputation [13]: for each incomplete tuple, a
 // ridge-regularized linear model of the missing attribute on the tuple's
-// observed attributes is fitted over its nearest neighbors.
-type LOESS struct {
-	K     int     // neighborhood size; default 20
-	Alpha float64 // ridge strength; default 1e-3
-}
+// observed attributes is fitted over its loessK nearest neighbors.
+type LOESS struct{}
+
+// loessK is LOESS's neighborhood size.
+const loessK = 20
 
 // Name implements Imputer.
 func (l *LOESS) Name() string { return "LOESS" }
@@ -23,29 +32,20 @@ func (l *LOESS) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error)
 	if err := checkInput(x, omega); err != nil {
 		return nil, err
 	}
-	k := l.K
-	if k <= 0 {
-		k = 20
-	}
-	alpha := l.Alpha
-	if alpha <= 0 {
-		alpha = 1e-3
-	}
 	return regressionImpute(x, omega, func(i, j int, dets []int) (float64, bool) {
-		return localFit(x, omega, i, j, dets, k, alpha)
+		return localFit(x, omega, i, j, dets, loessK)
 	})
 }
 
 // IIM learns an individual model per tuple [47]: the neighborhood size ℓ is
-// selected per tuple from Candidates by holdout validation on extra
+// selected per tuple from {5, 10, 20} by holdout validation on extra
 // neighbors, then a local model is fitted as in LOESS. Its per-tuple model
-// search makes it the slowest baseline; MaxTuples mirrors the paper's OOT
-// on the 100k-row Vehicle dataset.
-type IIM struct {
-	Candidates []int   // neighborhood sizes to try; default {5, 10, 20}
-	Alpha      float64 // ridge strength; default 1e-3
-	MaxTuples  int     // refuse inputs above this (OOT); default 20000
-}
+// search makes it the slowest baseline; iimMaxTuples mirrors the paper's
+// OOT on the 100k-row Vehicle dataset.
+type IIM struct{}
+
+// iimMaxTuples is the largest input IIM accepts; above it IIM reports OOT.
+const iimMaxTuples = 20000
 
 // Name implements Imputer.
 func (m *IIM) Name() string { return "IIM" }
@@ -56,30 +56,13 @@ func (m *IIM) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) {
 		return nil, err
 	}
 	n, _ := x.Dims()
-	limit := m.MaxTuples
-	if limit <= 0 {
-		limit = 20000
+	if n > iimMaxTuples {
+		return nil, &ResourceLimitError{Method: "IIM", Kind: "OOT", N: n, Limit: iimMaxTuples}
 	}
-	if n > limit {
-		return nil, &ResourceLimitError{Method: "IIM", Kind: "OOT", N: n, Limit: limit}
-	}
-	cands := m.Candidates
-	if len(cands) == 0 {
-		cands = []int{5, 10, 20}
-	}
-	alpha := m.Alpha
-	if alpha <= 0 {
-		alpha = 1e-3
-	}
-	maxCand := 0
-	for _, c := range cands {
-		if c > maxCand {
-			maxCand = c
-		}
-	}
+	cands := [...]int{5, 10, 20} // ascending
 	const holdout = 5
 	return regressionImpute(x, omega, func(i, j int, dets []int) (float64, bool) {
-		nbrs := usableNeighbors(x, omega, i, j, dets, maxCand+holdout)
+		nbrs := usableNeighbors(x, omega, i, j, dets, cands[len(cands)-1]+holdout)
 		if len(nbrs) < 3 {
 			return 0, false
 		}
@@ -90,7 +73,7 @@ func (m *IIM) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) {
 			if l >= len(nbrs) {
 				continue
 			}
-			w, ok := fitRidgeOn(x, nbrs[:l], j, dets, alpha)
+			w, ok := fitRidgeOn(x, nbrs[:l], j, dets)
 			if !ok {
 				continue
 			}
@@ -113,7 +96,7 @@ func (m *IIM) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) {
 		if bestL >= len(nbrs) {
 			bestL = len(nbrs)
 		}
-		w, ok := fitRidgeOn(x, nbrs[:bestL], j, dets, alpha)
+		w, ok := fitRidgeOn(x, nbrs[:bestL], j, dets)
 		if !ok {
 			return 0, false
 		}
@@ -123,11 +106,10 @@ func (m *IIM) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) {
 
 // Iterative is MICE-style chained-equation imputation with a ridge base
 // estimator — our stand-in for scikit-learn's IterativeImputer [4].
-type Iterative struct {
-	Sweeps int     // round-robin passes; default 10
-	Alpha  float64 // ridge strength; default 1e-3
-	Tol    float64 // max-change early stop; default 1e-4
-}
+type Iterative struct{}
+
+// iterativeSweeps caps Iterative's round-robin passes.
+const iterativeSweeps = 10
 
 // Name implements Imputer.
 func (it *Iterative) Name() string { return "Iterative" }
@@ -137,24 +119,12 @@ func (it *Iterative) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, e
 	if err := checkInput(x, omega); err != nil {
 		return nil, err
 	}
-	sweeps := it.Sweeps
-	if sweeps <= 0 {
-		sweeps = 10
-	}
-	alpha := it.Alpha
-	if alpha <= 0 {
-		alpha = 1e-3
-	}
-	tol := it.Tol
-	if tol <= 0 {
-		tol = 1e-4
-	}
 	cur, err := meanFilled(x, omega)
 	if err != nil {
 		return nil, err
 	}
 	n, m := x.Dims()
-	for sweep := 0; sweep < sweeps; sweep++ {
+	for sweep := 0; sweep < iterativeSweeps; sweep++ {
 		var maxChange float64
 		for j := 0; j < m; j++ {
 			if omega.ColObservedCount(j) == n {
@@ -184,7 +154,7 @@ func (it *Iterative) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, e
 				}
 				b[t] = cur.At(i, j)
 			}
-			w, err := linalg.Ridge(a, b, alpha)
+			w, err := linalg.Ridge(a, b, ridgeAlpha)
 			if err != nil {
 				continue
 			}
@@ -209,7 +179,7 @@ func (it *Iterative) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, e
 				cur.Set(i, j, pred)
 			}
 		}
-		if maxChange < tol {
+		if maxChange < stopTol {
 			break
 		}
 	}
@@ -298,12 +268,12 @@ func usableNeighbors(x *mat.Dense, omega *mat.Mask, i, j int, dets []int, k int)
 
 // localFit fits a ridge model of column j on dets over the k nearest usable
 // neighbors of row i and predicts row i.
-func localFit(x *mat.Dense, omega *mat.Mask, i, j int, dets []int, k int, alpha float64) (float64, bool) {
+func localFit(x *mat.Dense, omega *mat.Mask, i, j int, dets []int, k int) (float64, bool) {
 	nbrs := usableNeighbors(x, omega, i, j, dets, k)
 	if len(nbrs) < 2 {
 		return 0, false
 	}
-	w, ok := fitRidgeOn(x, nbrs, j, dets, alpha)
+	w, ok := fitRidgeOn(x, nbrs, j, dets)
 	if !ok {
 		return 0, false
 	}
@@ -312,7 +282,7 @@ func localFit(x *mat.Dense, omega *mat.Mask, i, j int, dets []int, k int, alpha 
 
 // fitRidgeOn fits target column j on determinant columns dets (plus an
 // intercept) over the given rows. Returns weights [dets..., intercept].
-func fitRidgeOn(x *mat.Dense, rows []int, j int, dets []int, alpha float64) ([]float64, bool) {
+func fitRidgeOn(x *mat.Dense, rows []int, j int, dets []int) ([]float64, bool) {
 	a := mat.NewDense(len(rows), len(dets)+1)
 	b := make([]float64, len(rows))
 	for t, r := range rows {
@@ -323,7 +293,7 @@ func fitRidgeOn(x *mat.Dense, rows []int, j int, dets []int, alpha float64) ([]f
 		ar[len(dets)] = 1
 		b[t] = x.At(r, j)
 	}
-	w, err := linalg.Ridge(a, b, alpha)
+	w, err := linalg.Ridge(a, b, ridgeAlpha)
 	if err != nil {
 		return nil, false
 	}

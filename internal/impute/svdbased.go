@@ -9,13 +9,12 @@ import (
 
 // MC is nuclear-norm matrix completion [10], solved by singular-value
 // thresholding (SVT) — the standard first-order method for the convex
-// program of Candès & Recht.
-type MC struct {
-	Tau     float64 // shrinkage threshold; <=0 means 5·sqrt(N·M)·meanScale
-	Delta   float64 // step size; <=0 means 1.2·N·M/|Ω|
-	MaxIter int     // default 100
-	Tol     float64 // relative residual stop; default 1e-4
-}
+// program of Candès & Recht: at most mcMaxIter steps of size 1.2·N·M/|Ω|
+// with shrinkage threshold 5·sqrt(N·M)·meanScale.
+type MC struct{}
+
+// mcMaxIter caps MC's SVT iterations.
+const mcMaxIter = 100
 
 // Name implements Imputer.
 func (m *MC) Name() string { return "MC" }
@@ -26,30 +25,16 @@ func (m *MC) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) {
 		return nil, err
 	}
 	n, mm := x.Dims()
-	maxIter := m.MaxIter
-	if maxIter <= 0 {
-		maxIter = 100
-	}
-	tol := m.Tol
-	if tol <= 0 {
-		tol = 1e-4
-	}
 	rx := omega.Project(nil, x)
 	normRX := mat.FrobNorm(rx)
 	if normRX == 0 { //lint:ignore floatcmp exact-zero matrix guard
 		return x.Clone(), nil
 	}
-	tau := m.Tau
-	if tau <= 0 {
-		tau = 5 * math.Sqrt(float64(n*mm)) * mat.Sum(rx) / float64(max(1, omega.Count()))
-	}
-	delta := m.Delta
-	if delta <= 0 {
-		delta = 1.2 * float64(n*mm) / float64(max(1, omega.Count()))
-	}
+	tau := 5 * math.Sqrt(float64(n*mm)) * mat.Sum(rx) / float64(max(1, omega.Count()))
+	delta := 1.2 * float64(n*mm) / float64(max(1, omega.Count()))
 	y := mat.NewDense(n, mm)
 	var z *mat.Dense
-	for it := 0; it < maxIter; it++ {
+	for it := 0; it < mcMaxIter; it++ {
 		svd, err := linalg.ComputeSVD(y)
 		if err != nil {
 			return nil, err
@@ -57,7 +42,7 @@ func (m *MC) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) {
 		z = svd.SoftThresholdReconstruct(tau)
 		// Residual on observed entries.
 		res := omega.Project(nil, mat.Sub(nil, x, z))
-		if mat.FrobNorm(res)/normRX < tol {
+		if mat.FrobNorm(res)/normRX < stopTol {
 			break
 		}
 		mat.AddScaled(y, y, delta, res)
@@ -66,12 +51,12 @@ func (m *MC) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, error) {
 }
 
 // SoftImpute is iterative soft-thresholded SVD [35]: repeatedly replace the
-// hidden entries with the current low-rank estimate and shrink.
-type SoftImpute struct {
-	Lambda  float64 // shrinkage; <=0 means 0.1·σ₁(R_Ω(X))
-	MaxIter int     // default 50
-	Tol     float64 // relative change stop; default 1e-4
-}
+// hidden entries with the current low-rank estimate and shrink by
+// 0.1·σ₁(R_Ω(X)), for at most softImputeMaxIter iterations.
+type SoftImpute struct{}
+
+// softImputeMaxIter caps SoftImpute's iterations.
+const softImputeMaxIter = 50
 
 // Name implements Imputer.
 func (s *SoftImpute) Name() string { return "SoftImpute" }
@@ -81,31 +66,19 @@ func (s *SoftImpute) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, e
 	if err := checkInput(x, omega); err != nil {
 		return nil, err
 	}
-	maxIter := s.MaxIter
-	if maxIter <= 0 {
-		maxIter = 50
-	}
-	tol := s.Tol
-	if tol <= 0 {
-		tol = 1e-4
-	}
 	rx := omega.Project(nil, x)
 	svd0, err := linalg.ComputeSVD(rx)
 	if err != nil {
 		return nil, err
 	}
-	lambda := s.Lambda
-	if lambda <= 0 {
-		if len(svd0.S) > 0 {
-			lambda = 0.1 * svd0.S[0]
-		} else {
-			lambda = 0.1
-		}
+	lambda := 0.1
+	if len(svd0.S) > 0 {
+		lambda = 0.1 * svd0.S[0]
 	}
 	n, mm := x.Dims()
 	z := mat.NewDense(n, mm)
 	filled := mat.NewDense(n, mm)
-	for it := 0; it < maxIter; it++ {
+	for it := 0; it < softImputeMaxIter; it++ {
 		// filled = R_Ω(X) + R_Ψ(Z)
 		copyRecover(filled, x, z, omega)
 		svd, err := linalg.ComputeSVD(filled)
@@ -116,7 +89,7 @@ func (s *SoftImpute) Impute(x *mat.Dense, omega *mat.Mask, _ int) (*mat.Dense, e
 		diff := mat.FrobNorm(mat.Sub(nil, zNew, z))
 		denom := math.Max(mat.FrobNorm(z), 1e-12)
 		z = zNew
-		if diff/denom < tol {
+		if diff/denom < stopTol {
 			break
 		}
 	}

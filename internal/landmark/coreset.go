@@ -25,7 +25,7 @@ func (ix *Index) BucketSizes() []int {
 }
 
 // KCenters clusters the weighted landmark coreset into k centers with
-// Lloyd's algorithm (weighted k-means++ seeding). maxIter ≤ 0 means 100.
+// Lloyd's algorithm (weighted k-means++ seeding), at most maxIter rounds.
 // The coreset points are the bucket centroids — already one implicit Lloyd
 // step at resolution L — weighted by bucket population, so the result
 // tracks full-data K-means far closer than clustering the raw landmark
@@ -39,9 +39,6 @@ func (ix *Index) KCenters(k, maxIter int, seed int64) (*mat.Dense, error) {
 	}
 	if k > l {
 		return nil, errors.New("landmark: KCenters needs at least k landmarks")
-	}
-	if maxIter <= 0 {
-		maxIter = 100
 	}
 	w := make([]float64, l)
 	pts := mat.NewDense(l, d)

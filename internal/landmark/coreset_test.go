@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/spatialmf/smfl/internal/kmeans"
 	"github.com/spatialmf/smfl/internal/mat"
 )
 
@@ -47,7 +48,7 @@ func TestKCentersRecoverClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	centers, err := ix.KCenters(nc, 0, 2)
+	centers, err := ix.KCenters(nc, kmeans.DefaultMaxIter, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestKCentersRecoverClusters(t *testing.T) {
 		used[best] = true
 	}
 	// Determinism for a fixed seed.
-	again, err := ix.KCenters(nc, 0, 2)
+	again, err := ix.KCenters(nc, kmeans.DefaultMaxIter, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,14 +84,14 @@ func TestKCentersRecoverClusters(t *testing.T) {
 func TestKCentersValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	si := clusteredSI(rng, 100, 3, 2)
-	ix, err := Build(si, Config{Landmarks: 6, Seed: 1})
+	ix, err := Build(si, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.KCenters(0, 0, 1); err == nil {
+	if _, err := ix.KCenters(0, kmeans.DefaultMaxIter, 1); err == nil {
 		t.Fatal("KCenters accepted k=0")
 	}
-	if _, err := ix.KCenters(7, 0, 1); err == nil {
+	if _, err := ix.KCenters(len(ix.Landmarks())+1, kmeans.DefaultMaxIter, 1); err == nil {
 		t.Fatal("KCenters accepted k greater than the landmark count")
 	}
 }

@@ -14,16 +14,18 @@ import (
 // Index is the landmark-bucket spatial index over the N rows of SI. Every
 // row lives in the bucket of its nearest landmark, each bucket packs its
 // members into a small counting-sorted 2-D grid over the two
-// highest-variance coordinates, and each landmark knows its Probes nearest
-// peer buckets. A p-NN query spirals outward over the grid cells of its
-// probe buckets, rejecting cells — and whole peer buckets — whose bounding
-// boxes are farther than the running p-th-best distance. The projection is
-// 1-Lipschitz, so the cell bounds are valid lower bounds in any dimension
-// and the search is exact within the probed buckets. Construction is
-// O(N log L) assignment plus O(N) grid packing instead of the exact path's
-// full KD-tree build over N points followed by N tree searches.
+// highest-variance coordinates, and each landmark knows its nearest peer
+// buckets (min(DefaultProbes, L) probes, its own included). A p-NN query
+// spirals outward over the grid cells of its probe buckets, rejecting cells
+// — and whole peer buckets — whose bounding boxes are farther than the
+// running p-th-best distance. The projection is 1-Lipschitz, so the cell
+// bounds are valid lower bounds in any dimension and the search is exact
+// within the probed buckets. Construction is O(N log L) assignment plus
+// O(N) grid packing instead of the exact path's full KD-tree build over N
+// points followed by N tree searches.
 type Index struct {
 	cfg       Config
+	probes    int        // buckets a query scans, its own included
 	si        *mat.Dense // referenced, read-only
 	landmarks []int      // selected row indices, selection order
 	coords    *mat.Dense // L×d landmark coordinates (owned copy)
@@ -63,13 +65,12 @@ func Build(si *mat.Dense, cfg Config) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults(n)
 	l := len(sel)
 	coords := mat.NewDense(l, d)
 	for i, row := range sel {
 		copy(coords.Row(i), si.Row(row))
 	}
-	ix := &Index{cfg: cfg, si: si, landmarks: sel, coords: coords}
+	ix := &Index{cfg: cfg, probes: min(DefaultProbes, cfg.landmarks(n)), si: si, landmarks: sel, coords: coords}
 	// Projection axes: the two highest-variance coordinates. For the
 	// paper's 2-D SI this is the identity; for higher-dimensional SI the
 	// projected cell bounds stay valid lower bounds.
@@ -178,7 +179,7 @@ func Build(si *mat.Dense, cfg Config) (*Index, error) {
 	}
 	// Probe lists: each bucket scans itself first, then its landmark's
 	// nearest peer landmarks. L is small, so the L×L scan is negligible.
-	q := cfg.Probes
+	q := ix.probes
 	ix.bprobes = make([][]int32, l)
 	type ld struct {
 		d2 float64
@@ -513,13 +514,11 @@ func (ix *Index) PNNGraph(p int) (*spatial.Graph, error) {
 	if p <= 0 {
 		return nil, errors.New("landmark: p must be positive")
 	}
-	budget := ix.cfg.ScanBudget
-	if budget <= 0 {
-		budget = 4 * p
-		if budget < 40 {
-			budget = 40
-		}
-	}
+	// Distance evaluations per query once p candidates are held. Interior
+	// rows satisfy the budget inside their own bucket's grid and never touch
+	// peer buckets, while boundary rows spill over — the budget is what
+	// keeps graph construction linear in N at a small constant.
+	budget := max(4*p, 40)
 	nbrs := make([][]int32, n)
 	flat := make([]int32, n*p) // one backing array, not n small lists
 	work := n * (64 + 10*budget)
@@ -558,6 +557,6 @@ func (ix *Index) NewPlacer(u *mat.Dense) (*Placer, error) {
 		coords: ix.coords.Clone(),
 		mds:    mds,
 		coeff:  coeff,
-		probes: ix.cfg.Probes,
+		probes: ix.probes,
 	}, nil
 }

@@ -31,57 +31,26 @@ import (
 // buys recall at little cost.
 const DefaultProbes = 8
 
-// Config controls landmark selection and index construction.
+// Config controls landmark selection and index construction. L, the number
+// of landmark rows, is ⌈√N⌉ raised to MinLandmarks (at most N); a query
+// probes min(DefaultProbes, L) buckets, and selection works on a subsample
+// of 8·L rows (selection is O(sample·L·dim)).
 type Config struct {
-	// Landmarks is L, the number of landmark rows; 0 means ⌈√N⌉.
-	Landmarks int
 	// MinLandmarks raises L to at least this value — the SMFL fit sets it
 	// to K so the first K landmarks can double as the paper's landmark
 	// columns in V.
 	MinLandmarks int
-	// Probes is the number of nearest-landmark buckets scanned per query;
-	// 0 means DefaultProbes. Clamped to L.
-	Probes int
-	// SampleCap bounds the subsample the selection works on (selection is
-	// O(sample·L·dim)); 0 means 8·L.
-	SampleCap int
-	// ScanBudget caps distance evaluations per p-NN query once p
-	// candidates are held; 0 means max(4p, 40). Interior rows satisfy the
-	// budget inside their own bucket's grid and never touch peer buckets,
-	// while boundary rows spill over — the budget is what keeps graph
-	// construction linear in N at a small constant.
-	ScanBudget int
 	// Seed drives selection and the eigensolver start.
 	Seed int64
 }
 
-// withDefaults resolves zero fields against the row count n.
-func (c Config) withDefaults(n int) Config {
-	if c.Landmarks <= 0 {
-		c.Landmarks = int(math.Ceil(math.Sqrt(float64(n))))
+// landmarks resolves L for n rows.
+func (c Config) landmarks(n int) int {
+	l := int(math.Ceil(math.Sqrt(float64(n))))
+	if l < c.MinLandmarks {
+		l = c.MinLandmarks
 	}
-	if c.Landmarks < c.MinLandmarks {
-		c.Landmarks = c.MinLandmarks
-	}
-	if c.Landmarks > n {
-		c.Landmarks = n
-	}
-	if c.Landmarks < 1 {
-		c.Landmarks = 1
-	}
-	if c.Probes <= 0 {
-		c.Probes = DefaultProbes
-	}
-	if c.Probes > c.Landmarks {
-		c.Probes = c.Landmarks
-	}
-	if c.SampleCap <= 0 {
-		c.SampleCap = 8 * c.Landmarks
-	}
-	if c.SampleCap < c.Landmarks {
-		c.SampleCap = c.Landmarks
-	}
-	return c
+	return max(min(l, n), 1)
 }
 
 // Select returns L distinct row indices of si to use as landmarks. The
@@ -98,13 +67,12 @@ func Select(si *mat.Dense, cfg Config) ([]int, error) {
 	if !si.IsFinite() {
 		return nil, errors.New("landmark: SI contains NaN or Inf; fill missing values first")
 	}
-	cfg = cfg.withDefaults(n)
-	l := cfg.Landmarks
+	l := cfg.landmarks(n)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// Subsample without replacement.
 	sample := rng.Perm(n)
-	if len(sample) > cfg.SampleCap {
-		sample = sample[:cfg.SampleCap]
+	if len(sample) > 8*l {
+		sample = sample[:8*l]
 	}
 	s := len(sample)
 	x := mat.NewDense(s, d)

@@ -59,13 +59,13 @@ func TestSelectMinLandmarksAndCoverage(t *testing.T) {
 	// selector, not of random center placement.
 	rng := rand.New(rand.NewSource(91))
 	centers := [][]float64{{0, 0}, {20, 0}, {0, 20}, {20, 20}, {-20, 0}, {0, -20}}
-	si := mat.NewDense(300, 2)
-	for i := 0; i < 300; i++ {
+	si := mat.NewDense(96, 2) // ⌈√96⌉ = 10 landmarks unless raised
+	for i := 0; i < 96; i++ {
 		c := centers[i%6]
 		si.Set(i, 0, c[0]+0.5*rng.NormFloat64())
 		si.Set(i, 1, c[1]+0.5*rng.NormFloat64())
 	}
-	sel, err := Select(si, Config{Landmarks: 6, MinLandmarks: 12, Seed: 2})
+	sel, err := Select(si, Config{MinLandmarks: 12, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +85,12 @@ func TestSelectMinLandmarksAndCoverage(t *testing.T) {
 func TestSelectDegenerate(t *testing.T) {
 	// All-identical points must still yield the requested count.
 	si := mat.NewDense(50, 2)
-	sel, err := Select(si, Config{Landmarks: 5, Seed: 3})
+	sel, err := Select(si, Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel) != 5 {
-		t.Fatalf("got %d landmarks from duplicate points, want 5", len(sel))
+	if len(sel) != 8 {
+		t.Fatalf("got %d landmarks from duplicate points, want ⌈√50⌉ = 8", len(sel))
 	}
 	if _, err := Select(mat.NewDense(0, 2), Config{}); err == nil {
 		t.Fatal("expected error for empty SI")
@@ -142,36 +142,6 @@ func TestPNNGraphRecall(t *testing.T) {
 	recall := float64(hit) / float64(len(want))
 	if recall < 0.9 {
 		t.Fatalf("recall %.3f < 0.9 (%d of %d exact edges)", recall, hit, len(want))
-	}
-}
-
-func TestPNNGraphRecallHigherDimWithBudget(t *testing.T) {
-	// In higher-dimensional SI the 2-D cell projection prunes less, so the
-	// default budget trades recall; raising ScanBudget restores it.
-	rng := rand.New(rand.NewSource(92))
-	si := clusteredSI(rng, 2000, 5, 3)
-	exact, err := spatial.BuildGraph(si, 5, spatial.KDTreeMode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := Build(si, Config{Seed: 4, ScanBudget: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx, err := ix.PNNGraph(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := exactEdges(exact)
-	hit := 0
-	for e := range exactEdges(approx) {
-		if want[e] {
-			hit++
-		}
-	}
-	recall := float64(hit) / float64(len(want))
-	if recall < 0.9 {
-		t.Fatalf("recall %.3f < 0.9 with raised budget (%d of %d exact edges)", recall, hit, len(want))
 	}
 }
 

@@ -28,7 +28,15 @@ func TestPlacerOpCountIsL(t *testing.T) {
 	// evaluations, and L is set by the landmark count — quadrupling the
 	// training set must not change the op count for a fixed L.
 	rng := rand.New(rand.NewSource(110))
-	small, _ := buildPlacer(t, rng, 400)
+	si := clusteredSI(rng, 400, 4, 2)
+	ix, err := Build(si, Config{MinLandmarks: 40, Seed: 8}) // the L of N = 1600
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := ix.NewPlacer(mat.RandomUniform(rng, 400, 6, 1e-3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	pl, err := small.Place([]float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +46,7 @@ func TestPlacerOpCountIsL(t *testing.T) {
 	}
 
 	siBig := clusteredSI(rng, 1600, 4, 2)
-	ixBig, err := Build(siBig, Config{Landmarks: small.Landmarks(), Seed: 8})
+	ixBig, err := Build(siBig, Config{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

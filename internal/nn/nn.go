@@ -158,33 +158,34 @@ func (m *MLP) Backward(gradOut *mat.Dense) *mat.Dense {
 	return grad
 }
 
-// AdamConfig are the optimizer hyperparameters.
-type AdamConfig struct {
-	LR, Beta1, Beta2, Eps float64
-}
-
-// DefaultAdam is the standard Adam setting.
-var DefaultAdam = AdamConfig{LR: 1e-3, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
+// The standard Adam setting. Typed, so 1−β is the difference of the
+// float64 β, not of the exact decimal.
+const (
+	adamLR    float64 = 1e-3
+	adamBeta1 float64 = 0.9
+	adamBeta2 float64 = 0.999
+	adamEps   float64 = 1e-8
+)
 
 // Step applies one Adam update from the gradients accumulated by Backward.
-func (m *MLP) Step(cfg AdamConfig) {
+func (m *MLP) Step() {
 	m.adamT++
-	bc1 := 1 - math.Pow(cfg.Beta1, float64(m.adamT))
-	bc2 := 1 - math.Pow(cfg.Beta2, float64(m.adamT))
+	bc1 := 1 - math.Pow(adamBeta1, float64(m.adamT))
+	bc2 := 1 - math.Pow(adamBeta2, float64(m.adamT))
 	for _, l := range m.layers {
-		adam(l.w, l.gradW, l.mW, l.vW, cfg, bc1, bc2)
-		adam(l.b, l.gradB, l.mB, l.vB, cfg, bc1, bc2)
+		adam(l.w, l.gradW, l.mW, l.vW, bc1, bc2)
+		adam(l.b, l.gradB, l.mB, l.vB, bc1, bc2)
 	}
 }
 
-func adam(p, g, mM, vM *mat.Dense, cfg AdamConfig, bc1, bc2 float64) {
+func adam(p, g, mM, vM *mat.Dense, bc1, bc2 float64) {
 	pd, gd, md, vd := p.Data(), g.Data(), mM.Data(), vM.Data()
 	for i := range pd {
-		md[i] = cfg.Beta1*md[i] + (1-cfg.Beta1)*gd[i]
-		vd[i] = cfg.Beta2*vd[i] + (1-cfg.Beta2)*gd[i]*gd[i]
+		md[i] = adamBeta1*md[i] + (1-adamBeta1)*gd[i]
+		vd[i] = adamBeta2*vd[i] + (1-adamBeta2)*gd[i]*gd[i]
 		mhat := md[i] / bc1
 		vhat := vd[i] / bc2
-		pd[i] -= cfg.LR * mhat / (math.Sqrt(vhat) + cfg.Eps)
+		pd[i] -= adamLR * mhat / (math.Sqrt(vhat) + adamEps)
 	}
 }
 

@@ -116,12 +116,10 @@ func TestTrainingReducesLoss(t *testing.T) {
 	}
 	m := NewMLP(rng, []int{2, 16, 1}, []Activation{Tanh, Sigmoid})
 	first, _ := BCE(m.Forward(x), y, nil)
-	cfg := DefaultAdam
-	cfg.LR = 0.02
-	for ep := 0; ep < 400; ep++ {
+	for ep := 0; ep < 2000; ep++ {
 		_, grad := BCE(m.Forward(x), y, nil)
 		m.Backward(grad)
-		m.Step(cfg)
+		m.Step()
 	}
 	last, _ := BCE(m.Forward(x), y, nil)
 	if last > 0.5*first {
@@ -207,12 +205,10 @@ func TestDeepNetworkTrains(t *testing.T) {
 	}
 	m := NewMLP(rng, []int{1, 12, 12, 12, 1}, []Activation{Tanh, Tanh, Tanh, Identity})
 	first, _ := MSE(m.Forward(x), y)
-	cfg := DefaultAdam
-	cfg.LR = 0.01
-	for ep := 0; ep < 500; ep++ {
+	for ep := 0; ep < 2000; ep++ {
 		_, grad := MSE(m.Forward(x), y)
 		m.Backward(grad)
-		m.Step(cfg)
+		m.Step()
 	}
 	last, _ := MSE(m.Forward(x), y)
 	if last > first/5 {

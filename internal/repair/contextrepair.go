@@ -13,13 +13,16 @@ import (
 // value context (corrections derived from labeled dirty/clean pairs), the
 // vicinity context (same-row regression from clean attributes), and the
 // domain context (column statistics) — are trained and combined by a
-// precision-weighted vote. As in the paper's setting, Labels dirty cells
-// (default 20) receive ground-truth-free supervision: they are repaired by
-// the strongest available signal and used to weight the correctors.
+// precision-weighted vote. As in the paper's setting, contextLabels dirty
+// cells receive ground-truth-free supervision: they are repaired by the
+// strongest available signal and used to weight the correctors.
 type ContextRepair struct {
-	Labels int // labeled cells used to calibrate corrector weights; default 20
-	Seed   int64
+	Seed int64
 }
+
+// contextLabels is the number of labeled cells that calibrate the
+// corrector weights.
+const contextLabels = 20
 
 // Name implements Repairer.
 func (c *ContextRepair) Name() string { return "Baran" }
@@ -28,10 +31,6 @@ func (c *ContextRepair) Name() string { return "Baran" }
 func (c *ContextRepair) Repair(x *mat.Dense, dirty *mat.Mask, _ int) (*mat.Dense, error) {
 	if err := checkInput(x, dirty); err != nil {
 		return nil, err
-	}
-	labels := c.Labels
-	if labels <= 0 {
-		labels = 20
 	}
 	n, m := x.Dims()
 
@@ -125,7 +124,7 @@ func (c *ContextRepair) Repair(x *mat.Dense, dirty *mat.Mask, _ int) (*mat.Dense
 	rng.Shuffle(len(dirtyCells), func(a, b int) { dirtyCells[a], dirtyCells[b] = dirtyCells[b], dirtyCells[a] })
 	var lab []labeled
 	for _, cell := range dirtyCells {
-		if len(lab) >= labels {
+		if len(lab) >= contextLabels {
 			break
 		}
 		if tgt, ok := vicinity(cell[0], cell[1]); ok {

@@ -59,8 +59,8 @@ func checkInput(x *mat.Dense, dirty *mat.Mask) error {
 func PaperRepairers(seed int64, cfg core.Config) []Repairer {
 	cfg.Seed = seed
 	return []Repairer{
-		&ContextRepair{Labels: 20, Seed: seed}, // Baran stand-in
-		&StatRepair{Bins: 16},                  // HoloClean stand-in
+		&ContextRepair{Seed: seed}, // Baran stand-in
+		&StatRepair{},              // HoloClean stand-in
 		&MFRepair{Method: core.NMF, Cfg: cfg},
 		&MFRepair{Method: core.SMF, Cfg: cfg},
 		&MFRepair{Method: core.SMFL, Cfg: cfg},

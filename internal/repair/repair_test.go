@@ -91,7 +91,7 @@ func TestSpatialMethodsBeatGenericRepair(t *testing.T) {
 		cfg := core.Config{K: 4, MaxIter: 200, Tol: 1e-8, Seed: seed}
 		for _, r := range []Repairer{
 			&MFRepair{Method: core.SMFL, Cfg: cfg},
-			&ContextRepair{Labels: 20, Seed: seed},
+			&ContextRepair{Seed: seed},
 			&MFRepair{Method: core.NMF, Cfg: cfg},
 		} {
 			out, err := r.Repair(corrupted, dirty, l)
@@ -134,7 +134,7 @@ func TestStatRepairLearnsCooccurrence(t *testing.T) {
 	dirty := mat.NewMask(n, 3)
 	x.Set(7, 1, 0.95) // corrupt: true value is 0.7
 	dirty.Observe(7, 1)
-	out, err := (&StatRepair{Bins: 10}).Repair(x, dirty, 1)
+	out, err := (&StatRepair{}).Repair(x, dirty, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestContextRepairVicinity(t *testing.T) {
 		x.Set(i, 2, 0.123)
 		dirty.Observe(i, 2)
 	}
-	out, err := (&ContextRepair{Labels: 10, Seed: 1}).Repair(x, dirty, 1)
+	out, err := (&ContextRepair{Seed: 1}).Repair(x, dirty, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

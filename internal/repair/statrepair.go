@@ -12,10 +12,12 @@ import (
 // cell with the posterior-weighted bin center under a naive-Bayes factor
 // model — exactly the "statistical signals only" mode the paper ran
 // HoloClean in (no integrity rules were available).
-type StatRepair struct {
-	Bins   int     // discretization granularity; default 16
-	Smooth float64 // Laplace smoothing; default 1
-}
+type StatRepair struct{}
+
+const (
+	statBins   = 16 // discretization granularity
+	statSmooth = 1  // Laplace smoothing
+)
 
 // Name implements Repairer.
 func (s *StatRepair) Name() string { return "HoloClean" }
@@ -24,14 +26,6 @@ func (s *StatRepair) Name() string { return "HoloClean" }
 func (s *StatRepair) Repair(x *mat.Dense, dirty *mat.Mask, _ int) (*mat.Dense, error) {
 	if err := checkInput(x, dirty); err != nil {
 		return nil, err
-	}
-	bins := s.Bins
-	if bins <= 0 {
-		bins = 16
-	}
-	smooth := s.Smooth
-	if smooth <= 0 {
-		smooth = 1
 	}
 	n, m := x.Dims()
 
@@ -60,24 +54,24 @@ func (s *StatRepair) Repair(x *mat.Dense, dirty *mat.Mask, _ int) (*mat.Dense, e
 		}
 	}
 	binOf := func(j int, v float64) int {
-		b := int(float64(bins) * (v - lo[j]) / (hi[j] - lo[j]))
+		b := int(float64(statBins) * (v - lo[j]) / (hi[j] - lo[j]))
 		if b < 0 {
 			b = 0
 		}
-		if b >= bins {
-			b = bins - 1
+		if b >= statBins {
+			b = statBins - 1
 		}
 		return b
 	}
 	center := func(j, b int) float64 {
-		return lo[j] + (float64(b)+0.5)*(hi[j]-lo[j])/float64(bins)
+		return lo[j] + (float64(b)+0.5)*(hi[j]-lo[j])/float64(statBins)
 	}
 
 	// Pairwise co-occurrence counts cooc[j][c][bj][bc] and priors, learned
 	// from cells clean in both columns.
 	prior := make([][]float64, m)
 	for j := range prior {
-		prior[j] = make([]float64, bins)
+		prior[j] = make([]float64, statBins)
 	}
 	cooc := make([][][]([]float64), m)
 	for j := 0; j < m; j++ {
@@ -86,9 +80,9 @@ func (s *StatRepair) Repair(x *mat.Dense, dirty *mat.Mask, _ int) (*mat.Dense, e
 			if c == j {
 				continue
 			}
-			cooc[j][c] = make([][]float64, bins)
+			cooc[j][c] = make([][]float64, statBins)
 			for b := range cooc[j][c] {
-				cooc[j][c][b] = make([]float64, bins)
+				cooc[j][c][b] = make([]float64, statBins)
 			}
 		}
 	}
@@ -110,7 +104,7 @@ func (s *StatRepair) Repair(x *mat.Dense, dirty *mat.Mask, _ int) (*mat.Dense, e
 	}
 
 	out := x.Clone()
-	logPost := make([]float64, bins)
+	logPost := make([]float64, statBins)
 	for i := 0; i < n; i++ {
 		for j := 0; j < m; j++ {
 			if !dirty.Observed(i, j) {
@@ -121,27 +115,27 @@ func (s *StatRepair) Repair(x *mat.Dense, dirty *mat.Mask, _ int) (*mat.Dense, e
 			for _, c := range prior[j] {
 				priorTotal += c
 			}
-			for b := 0; b < bins; b++ {
-				logPost[b] = math.Log((prior[j][b] + smooth) / (priorTotal + smooth*float64(bins)))
+			for b := 0; b < statBins; b++ {
+				logPost[b] = math.Log((prior[j][b] + statSmooth) / (priorTotal + statSmooth*float64(statBins)))
 			}
 			for c := 0; c < m; c++ {
 				if c == j || dirty.Observed(i, c) {
 					continue
 				}
 				bc := binOf(c, x.At(i, c))
-				for b := 0; b < bins; b++ {
+				for b := 0; b < statBins; b++ {
 					// column sums for normalization of P(bj | bc)
 					var colTotal float64
-					for bb := 0; bb < bins; bb++ {
+					for bb := 0; bb < statBins; bb++ {
 						colTotal += cooc[j][c][bb][bc]
 					}
-					logPost[b] += math.Log((cooc[j][c][b][bc] + smooth) / (colTotal + smooth*float64(bins)))
+					logPost[b] += math.Log((cooc[j][c][b][bc] + statSmooth) / (colTotal + statSmooth*float64(statBins)))
 				}
 			}
 			// MAP repair: the center of the maximum-posterior bin, matching
 			// HoloClean's most-probable-value semantics.
 			best := 0
-			for b := 1; b < bins; b++ {
+			for b := 1; b < statBins; b++ {
 				if logPost[b] > logPost[best] {
 					best = b
 				}

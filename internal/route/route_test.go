@@ -135,7 +135,7 @@ func TestBetterImputationLowerFuelError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	knnOut, err := (&impute.KNN{K: 5}).Impute(truth, mask, 2)
+	knnOut, err := (&impute.KNN{}).Impute(truth, mask, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

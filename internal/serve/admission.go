@@ -17,15 +17,19 @@ import (
 // masked kernels actually pay, so a 256-row bulk impute consumes the window
 // 256× faster than a single-row probe instead of counting as one request.
 type AdmissionConfig struct {
-	MaxCost       int64         // admitted in-flight cost ceiling (default 65536 cells)
-	MinCost       int64         // adaptive window floor (default MaxCost/16)
-	TargetP95     time.Duration // p95 batch latency target (default 250ms)
-	RecoverRatio  float64       // regrow only when p95 < RecoverRatio·TargetP95 (default 0.8)
-	ShrinkFactor  float64       // window ← window·ShrinkFactor on a breach (default 0.5)
-	GrowFraction  float64       // window ← window + GrowFraction·MaxCost on recovery (default 0.125)
-	AdaptEvery    time.Duration // adaptation cadence (default 250ms)
-	MaxRetryAfter time.Duration // Retry-After clamp (default 30s)
+	MaxCost   int64         // admitted in-flight cost ceiling (default 65536 cells)
+	MinCost   int64         // adaptive window floor (default MaxCost/16)
+	TargetP95 time.Duration // p95 batch latency target (default 250ms)
 }
+
+// The controller's fixed dynamics.
+const (
+	admitRecoverRatio  = 0.8                    // regrow only when p95 < admitRecoverRatio·TargetP95
+	admitShrinkFactor  = 0.5                    // window ← window·admitShrinkFactor on a breach
+	admitGrowFraction  = 0.125                  // window ← window + admitGrowFraction·MaxCost on recovery
+	admitAdaptEvery    = 250 * time.Millisecond // adaptation cadence
+	admitMaxRetryAfter = 30 * time.Second       // Retry-After clamp
+)
 
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	if c.MaxCost <= 0 {
@@ -42,21 +46,6 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	}
 	if c.TargetP95 <= 0 {
 		c.TargetP95 = 250 * time.Millisecond
-	}
-	if c.RecoverRatio <= 0 || c.RecoverRatio >= 1 {
-		c.RecoverRatio = 0.8
-	}
-	if c.ShrinkFactor <= 0 || c.ShrinkFactor >= 1 {
-		c.ShrinkFactor = 0.5
-	}
-	if c.GrowFraction <= 0 || c.GrowFraction > 1 {
-		c.GrowFraction = 0.125
-	}
-	if c.AdaptEvery <= 0 {
-		c.AdaptEvery = 250 * time.Millisecond
-	}
-	if c.MaxRetryAfter <= 0 {
-		c.MaxRetryAfter = 30 * time.Second
 	}
 	return c
 }
@@ -77,8 +66,9 @@ func requestCost(mask *mat.Mask) int64 {
 // costs fits the current window; the window shrinks multiplicatively when
 // the p95 of recent batch latencies exceeds the target and regrows
 // additively once latency recovers (with a hysteresis band between
-// RecoverRatio·target and target where it holds still). Rejected requests
-// get a Retry-After estimate computed from the observed cost drain rate.
+// admitRecoverRatio·target and target where it holds still). Rejected
+// requests get a Retry-After estimate computed from the observed cost drain
+// rate.
 //
 // Adaptation is driven lazily from Admit/Release using the injected clock —
 // there is no background goroutine, so tests substitute a fake clock and
@@ -176,8 +166,8 @@ func (a *Admission) State() (window, admitted int64) {
 }
 
 // retryAfterLocked computes ceil(need/rate) seconds, clamped to
-// [1s, MaxRetryAfter], where need is the cost that must drain before the
-// caller fits and rate is the EWMA drain throughput (1s floor when the
+// [1s, admitMaxRetryAfter], where need is the cost that must drain before
+// the caller fits and rate is the EWMA drain throughput (1s floor when the
 // controller has not observed any drain yet).
 func (a *Admission) retryAfterLocked(cost int64) time.Duration {
 	need := a.admitted + cost - a.window
@@ -192,15 +182,15 @@ func (a *Admission) retryAfterLocked(cost int64) time.Duration {
 	if d < time.Second {
 		d = time.Second
 	}
-	if d > a.cfg.MaxRetryAfter {
-		d = a.cfg.MaxRetryAfter
+	if d > admitMaxRetryAfter {
+		d = admitMaxRetryAfter
 	}
 	return d
 }
 
-// adaptLocked runs one controller step when AdaptEvery has elapsed: fold the
-// epoch's released cost into the drain-rate EWMA, then shrink or regrow the
-// window from the epoch's p95 latency. An idle epoch (no samples) regrows —
+// adaptLocked runs one controller step when admitAdaptEvery has elapsed:
+// fold the epoch's released cost into the drain-rate EWMA, then shrink or
+// regrow the window from the epoch's p95 latency. An idle epoch (no samples) regrows —
 // the overload that shrank the window is over.
 func (a *Admission) adaptLocked(now time.Time) {
 	if a.lastAdapt.IsZero() {
@@ -208,7 +198,7 @@ func (a *Admission) adaptLocked(now time.Time) {
 		return
 	}
 	elapsed := now.Sub(a.lastAdapt)
-	if elapsed < a.cfg.AdaptEvery {
+	if elapsed < admitAdaptEvery {
 		return
 	}
 	rate := float64(a.released) / elapsed.Seconds()
@@ -224,11 +214,11 @@ func (a *Admission) adaptLocked(now time.Time) {
 		p95 := quantile(a.samples, 0.95)
 		switch {
 		case p95 > target:
-			a.window = int64(float64(a.window) * a.cfg.ShrinkFactor)
+			a.window = int64(float64(a.window) * admitShrinkFactor)
 			if a.window < a.cfg.MinCost {
 				a.window = a.cfg.MinCost
 			}
-		case p95 < a.cfg.RecoverRatio*target:
+		case p95 < admitRecoverRatio*target:
 			a.grow()
 		}
 		a.samples = a.samples[:0]
@@ -239,7 +229,7 @@ func (a *Admission) adaptLocked(now time.Time) {
 }
 
 func (a *Admission) grow() {
-	a.window += int64(a.cfg.GrowFraction * float64(a.cfg.MaxCost))
+	a.window += int64(admitGrowFraction * float64(a.cfg.MaxCost))
 	if a.window > a.cfg.MaxCost {
 		a.window = a.cfg.MaxCost
 	}

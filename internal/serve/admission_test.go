@@ -92,20 +92,16 @@ func fillEpoch(a *Admission, clk *fakeClock, cost int64, latency time.Duration, 
 		a.Admit(cost)
 		a.Release(cost, latency)
 	}
-	clk.advance(a.cfg.AdaptEvery + time.Millisecond)
+	clk.advance(admitAdaptEvery + time.Millisecond)
 	a.Admit(0) // lazy adaptation runs on the next call
 	a.ReleaseDropped(0)
 }
 
 func TestAdmissionShrinkRegrowHysteresis(t *testing.T) {
 	cfg := AdmissionConfig{
-		MaxCost:      1000,
-		MinCost:      100,
-		TargetP95:    100 * time.Millisecond,
-		RecoverRatio: 0.8,
-		ShrinkFactor: 0.5,
-		GrowFraction: 0.1,
-		AdaptEvery:   time.Second,
+		MaxCost:   1000,
+		MinCost:   100,
+		TargetP95: 100 * time.Millisecond,
 	}
 	a, clk := newFakeAdmission(cfg)
 	clk.advance(time.Millisecond)
@@ -122,9 +118,9 @@ func TestAdmissionShrinkRegrowHysteresis(t *testing.T) {
 		{"keeps shrinking to the floor", time.Second, 125},
 		{"floor holds", time.Second, 100},
 		{"hysteresis band holds the window still", 90 * time.Millisecond, 100},
-		{"recovery regrows additively", 10 * time.Millisecond, 200},
-		{"second recovery epoch regrows again", 10 * time.Millisecond, 300},
-		{"band between recover and target still holds", 85 * time.Millisecond, 300},
+		{"recovery regrows additively", 10 * time.Millisecond, 225},
+		{"second recovery epoch regrows again", 10 * time.Millisecond, 350},
+		{"band between recover and target still holds", 85 * time.Millisecond, 350},
 	}
 	for _, step := range steps {
 		fillEpoch(a, clk, 10, step.latency, 4)
@@ -135,7 +131,7 @@ func TestAdmissionShrinkRegrowHysteresis(t *testing.T) {
 
 	// Idle epochs (no samples at all) regrow toward the ceiling.
 	for i := 0; i < 20; i++ {
-		clk.advance(cfg.AdaptEvery + time.Millisecond)
+		clk.advance(admitAdaptEvery + time.Millisecond)
 		a.Admit(0)
 		a.ReleaseDropped(0)
 	}
@@ -145,10 +141,7 @@ func TestAdmissionShrinkRegrowHysteresis(t *testing.T) {
 }
 
 func TestAdmissionP95NotMean(t *testing.T) {
-	cfg := AdmissionConfig{
-		MaxCost: 1000, MinCost: 100, TargetP95: 100 * time.Millisecond,
-		ShrinkFactor: 0.5, AdaptEvery: time.Second,
-	}
+	cfg := AdmissionConfig{MaxCost: 1000, MinCost: 100, TargetP95: 100 * time.Millisecond}
 	a, clk := newFakeAdmission(cfg)
 	clk.advance(time.Millisecond)
 	a.Admit(0)
@@ -162,7 +155,7 @@ func TestAdmissionP95NotMean(t *testing.T) {
 	}
 	a.Admit(1)
 	a.Release(1, 500*time.Millisecond)
-	clk.advance(cfg.AdaptEvery + time.Millisecond)
+	clk.advance(admitAdaptEvery + time.Millisecond)
 	a.Admit(0)
 	a.ReleaseDropped(0)
 	if window, _ := a.State(); window != 500 {
@@ -173,7 +166,6 @@ func TestAdmissionP95NotMean(t *testing.T) {
 func TestAdmissionRetryAfter(t *testing.T) {
 	cfg := AdmissionConfig{
 		MaxCost: 100, MinCost: 100, TargetP95: time.Hour, // window never moves
-		AdaptEvery: time.Second, MaxRetryAfter: 30 * time.Second,
 	}
 	a, clk := newFakeAdmission(cfg)
 	clk.advance(time.Millisecond)
@@ -204,7 +196,7 @@ func TestAdmissionRetryAfter(t *testing.T) {
 		{50, time.Second},
 		{60, 2 * time.Second},
 		{100, 2 * time.Second},
-		{10000, 30 * time.Second}, // clamped to MaxRetryAfter
+		{10000, admitMaxRetryAfter}, // clamped
 	}
 	for _, tc := range cases {
 		if got := a.RetryAfter(tc.cost); got != tc.want {

@@ -34,13 +34,7 @@ const chaosGrace = 1500 * time.Millisecond
 func TestChaosSuite(t *testing.T) {
 	path, _, _ := fixture(t)
 	metrics := NewMetrics()
-	registry := NewRegistry(Config{
-		DefaultTimeout: 2 * time.Second,
-		Health: HealthConfig{
-			WindowSize: 16, MinSamples: 8, FailureRate: 0.5,
-			ProbeEvery: 20 * time.Millisecond, ProbeSuccesses: 2,
-		},
-	}, metrics)
+	registry := NewRegistry(Config{DefaultTimeout: 2 * time.Second}, metrics)
 	defer registry.Close()
 	if _, err := registry.LoadFile("air", path); err != nil {
 		t.Fatal(err)
@@ -49,9 +43,11 @@ func TestChaosSuite(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	// Batch faults at a rate that trips the breaker (checked below), so
+	// chaos reaches the degraded path too.
 	disarm := ArmChaos(42, ChaosConfig{
-		BatchErr:   0.15,
-		BatchPanic: 0.10,
+		BatchErr:   0.30,
+		BatchPanic: 0.20,
 		BatchDelay: 0.15,
 		DelayMax:   80 * time.Millisecond,
 		LoadErr:    0.30,
@@ -163,6 +159,9 @@ func TestChaosSuite(t *testing.T) {
 		metrics.Snapshot().PanicsTotal, metrics.Snapshot().TimeoutsTotal, srv.health.Trips())
 	if served.Load() == 0 {
 		t.Fatal("no request was ever served during the chaos phase")
+	}
+	if srv.health.Trips() == 0 {
+		t.Fatal("the breaker never tripped during the chaos phase: the degraded path went untested")
 	}
 
 	// Faults off: the breaker must close and real serving must resume. The

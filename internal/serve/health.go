@@ -60,41 +60,15 @@ const (
 	RouteProbe
 )
 
-// HealthConfig tunes the circuit breaker driving the health state machine.
-// Zero values take the defaults below.
-type HealthConfig struct {
-	WindowSize     int           // recent real-path outcomes considered (default 64)
-	MinSamples     int           // outcomes required before the breaker may trip (default 16)
-	FailureRate    float64       // trip when failures/window ≥ this (default 0.5)
-	LatencyP95     time.Duration // trip when the window's success-latency p95 exceeds this (default 2s)
-	ProbeEvery     time.Duration // half-open probe cadence while degraded (default 250ms)
-	ProbeSuccesses int           // consecutive probe successes that close the breaker (default 3)
-}
-
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.WindowSize <= 0 {
-		c.WindowSize = 64
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 16
-	}
-	if c.MinSamples > c.WindowSize {
-		c.MinSamples = c.WindowSize
-	}
-	if c.FailureRate <= 0 || c.FailureRate > 1 {
-		c.FailureRate = 0.5
-	}
-	if c.LatencyP95 <= 0 {
-		c.LatencyP95 = 2 * time.Second
-	}
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = 250 * time.Millisecond
-	}
-	if c.ProbeSuccesses <= 0 {
-		c.ProbeSuccesses = 3
-	}
-	return c
-}
+// The circuit breaker driving the health state machine.
+const (
+	breakerWindow         = 64                     // recent real-path outcomes considered
+	breakerMinSamples     = 16                     // outcomes required before the breaker may trip
+	breakerFailureRate    = 0.5                    // trip when failures/window ≥ this
+	breakerLatencyP95     = 2 * time.Second        // trip when the window's success-latency p95 exceeds this
+	breakerProbeEvery     = 250 * time.Millisecond // half-open probe cadence while degraded
+	breakerProbeSuccesses = 3                      // consecutive probe successes that close the breaker
+)
 
 // outcome is one real-path request result: failed fold-ins, recovered
 // panics, and deadline expiries count as failures; successes carry their
@@ -107,18 +81,17 @@ type outcome struct {
 // Health is the healthy → degraded → draining state machine, driven by a
 // circuit breaker over the fold-in failure rate and success-latency p95 of a
 // sliding window of real-path outcomes. While degraded, Route hands out one
-// half-open probe per ProbeEvery; ProbeSuccesses consecutive probe successes
-// close the breaker. Draining is entered once via SetDraining and never
-// left. All methods are goroutine-safe.
+// half-open probe per breakerProbeEvery; breakerProbeSuccesses consecutive
+// probe successes close the breaker. Draining is entered once via
+// SetDraining and never left. All methods are goroutine-safe.
 type Health struct {
-	cfg HealthConfig
 	now func() time.Time
 
 	mu        sync.Mutex
 	state     State
-	ring      []outcome // last WindowSize real-path outcomes (healthy state only)
+	ring      []outcome // last breakerWindow real-path outcomes (healthy state only)
 	next      int       // ring write cursor
-	filled    int       // outcomes recorded, capped at WindowSize
+	filled    int       // outcomes recorded, capped at breakerWindow
 	trips     uint64    // breaker trips (healthy → degraded transitions)
 	lastProbe time.Time
 	probing   bool // a RouteProbe is in flight
@@ -126,8 +99,8 @@ type Health struct {
 }
 
 // NewHealth returns a healthy state machine.
-func NewHealth(cfg HealthConfig) *Health {
-	return &Health{cfg: cfg.withDefaults(), now: time.Now}
+func NewHealth() *Health {
+	return &Health{now: time.Now}
 }
 
 // State returns the current health state.
@@ -183,7 +156,7 @@ func (h *Health) Route() Route {
 		return RouteReal
 	}
 	now := h.now()
-	if !h.probing && now.Sub(h.lastProbe) >= h.cfg.ProbeEvery {
+	if !h.probing && now.Sub(h.lastProbe) >= breakerProbeEvery {
 		h.probing = true
 		h.lastProbe = now
 		return RouteProbe
@@ -208,7 +181,7 @@ func (h *Health) Report(ok bool, latency time.Duration, probe bool) {
 			return
 		}
 		h.probeOK++
-		if h.probeOK >= h.cfg.ProbeSuccesses {
+		if h.probeOK >= breakerProbeSuccesses {
 			h.state = Healthy
 			h.resetRingLocked()
 			h.probeOK = 0
@@ -225,11 +198,11 @@ func (h *Health) Report(ok bool, latency time.Duration, probe bool) {
 		o.lat = latency.Seconds()
 	}
 	if len(h.ring) == 0 {
-		h.ring = make([]outcome, h.cfg.WindowSize)
+		h.ring = make([]outcome, breakerWindow)
 	}
 	h.ring[h.next] = o
-	h.next = (h.next + 1) % h.cfg.WindowSize
-	if h.filled < h.cfg.WindowSize {
+	h.next = (h.next + 1) % breakerWindow
+	if h.filled < breakerWindow {
 		h.filled++
 	}
 	if h.tripLocked() {
@@ -262,7 +235,7 @@ func (h *Health) resetRingLocked() {
 // tripLocked evaluates the breaker over the current window: enough samples
 // and either the failure rate or the success-latency p95 over threshold.
 func (h *Health) tripLocked() bool {
-	if h.filled < h.cfg.MinSamples {
+	if h.filled < breakerMinSamples {
 		return false
 	}
 	fails := 0
@@ -274,8 +247,8 @@ func (h *Health) tripLocked() bool {
 			fails++
 		}
 	}
-	if float64(fails)/float64(h.filled) >= h.cfg.FailureRate {
+	if float64(fails)/float64(h.filled) >= breakerFailureRate {
 		return true
 	}
-	return len(lats) > 0 && quantile(lats, 0.95) > h.cfg.LatencyP95.Seconds()
+	return len(lats) > 0 && quantile(lats, 0.95) > breakerLatencyP95.Seconds()
 }

@@ -7,24 +7,31 @@ import (
 
 // newTestHealth wires a Health to the fakeClock from admission_test.go so
 // the probe cadence is deterministic.
-func newTestHealth(cfg HealthConfig) (*Health, *fakeClock) {
-	h := NewHealth(cfg)
+func newTestHealth() (*Health, *fakeClock) {
+	h := NewHealth()
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	h.now = clk.now
 	return h, clk
 }
 
+// trip reports the fewest failures that open the breaker.
+func trip(h *Health) {
+	for i := 0; i < breakerMinSamples; i++ {
+		h.Report(false, 0, false)
+	}
+}
+
 func TestHealthTripsOnFailureRate(t *testing.T) {
-	h, _ := newTestHealth(HealthConfig{WindowSize: 8, MinSamples: 4, FailureRate: 0.5})
+	h, _ := newTestHealth()
 	if h.State() != Healthy || h.Breaker() != BreakerClosed || h.Route() != RouteReal {
 		t.Fatal("fresh Health not healthy/closed/real")
 	}
-	// Three failures among four samples: under MinSamples until the fourth.
-	h.Report(false, 0, false)
-	h.Report(false, 0, false)
-	h.Report(true, time.Millisecond, false)
+	// Three failures in four: under breakerMinSamples until the last.
+	for i := 0; i < breakerMinSamples-1; i++ {
+		h.Report(i%4 == 2, time.Millisecond, false)
+	}
 	if h.State() != Healthy {
-		t.Fatal("tripped below MinSamples")
+		t.Fatal("tripped below breakerMinSamples")
 	}
 	h.Report(false, 0, false)
 	if h.State() != Degraded || h.Breaker() != BreakerOpen {
@@ -36,9 +43,9 @@ func TestHealthTripsOnFailureRate(t *testing.T) {
 }
 
 func TestHealthTripsOnLatencyP95(t *testing.T) {
-	h, _ := newTestHealth(HealthConfig{WindowSize: 8, MinSamples: 4, FailureRate: 0.99, LatencyP95: 100 * time.Millisecond})
-	for i := 0; i < 4; i++ {
-		h.Report(true, 500*time.Millisecond, false) // all succeed, all slow
+	h, _ := newTestHealth()
+	for i := 0; i < breakerMinSamples; i++ {
+		h.Report(true, breakerLatencyP95+time.Second, false) // all succeed, all slow
 	}
 	if h.State() != Degraded {
 		t.Fatal("slow successes did not trip the latency condition")
@@ -46,12 +53,8 @@ func TestHealthTripsOnLatencyP95(t *testing.T) {
 }
 
 func TestHealthProbeCadenceAndRecovery(t *testing.T) {
-	h, clk := newTestHealth(HealthConfig{
-		WindowSize: 4, MinSamples: 2, FailureRate: 0.5,
-		ProbeEvery: 100 * time.Millisecond, ProbeSuccesses: 2,
-	})
-	h.Report(false, 0, false)
-	h.Report(false, 0, false)
+	h, clk := newTestHealth()
+	trip(h)
 	if h.State() != Degraded {
 		t.Fatal("not degraded")
 	}
@@ -59,9 +62,9 @@ func TestHealthProbeCadenceAndRecovery(t *testing.T) {
 	if r := h.Route(); r != RouteFallback {
 		t.Fatalf("route %v right after trip, want fallback", r)
 	}
-	clk.advance(150 * time.Millisecond)
+	clk.advance(breakerProbeEvery + 50*time.Millisecond)
 	if r := h.Route(); r != RouteProbe {
-		t.Fatalf("route %v after ProbeEvery elapsed, want probe", r)
+		t.Fatalf("route %v after breakerProbeEvery elapsed, want probe", r)
 	}
 	// The slot is claimed: concurrent requests keep falling back.
 	if r := h.Route(); r != RouteFallback {
@@ -72,20 +75,22 @@ func TestHealthProbeCadenceAndRecovery(t *testing.T) {
 	if h.Breaker() != BreakerOpen {
 		t.Fatalf("breaker %v after failed probe, want open", h.Breaker())
 	}
-	clk.advance(150 * time.Millisecond)
+	for i := 1; i < breakerProbeSuccesses; i++ {
+		clk.advance(breakerProbeEvery + 50*time.Millisecond)
+		if r := h.Route(); r != RouteProbe {
+			t.Fatalf("no probe %d", i)
+		}
+		h.Report(true, time.Millisecond, true)
+		if h.Breaker() != BreakerHalfOpen {
+			t.Fatalf("breaker %v after %d good probes, want half-open", h.Breaker(), i)
+		}
+		if h.State() != Degraded {
+			t.Fatalf("closed after %d of %d required probe successes", i, breakerProbeSuccesses)
+		}
+	}
+	clk.advance(breakerProbeEvery + 50*time.Millisecond)
 	if r := h.Route(); r != RouteProbe {
-		t.Fatal("no new probe after failed one")
-	}
-	h.Report(true, time.Millisecond, true)
-	if h.Breaker() != BreakerHalfOpen {
-		t.Fatalf("breaker %v after one good probe, want half-open", h.Breaker())
-	}
-	if h.State() != Degraded {
-		t.Fatal("closed after one of two required probe successes")
-	}
-	clk.advance(150 * time.Millisecond)
-	if r := h.Route(); r != RouteProbe {
-		t.Fatal("no second probe")
+		t.Fatal("no last probe")
 	}
 	h.Report(true, time.Millisecond, true)
 	if h.State() != Healthy || h.Breaker() != BreakerClosed {
@@ -99,13 +104,9 @@ func TestHealthProbeCadenceAndRecovery(t *testing.T) {
 }
 
 func TestHealthAbortReleasesProbeSlot(t *testing.T) {
-	h, clk := newTestHealth(HealthConfig{
-		WindowSize: 4, MinSamples: 2, FailureRate: 0.5,
-		ProbeEvery: 100 * time.Millisecond, ProbeSuccesses: 1,
-	})
-	h.Report(false, 0, false)
-	h.Report(false, 0, false)
-	clk.advance(150 * time.Millisecond)
+	h, clk := newTestHealth()
+	trip(h)
+	clk.advance(breakerProbeEvery + 50*time.Millisecond)
 	if h.Route() != RouteProbe {
 		t.Fatal("no probe")
 	}
@@ -115,18 +116,18 @@ func TestHealthAbortReleasesProbeSlot(t *testing.T) {
 	if h.Route() != RouteFallback {
 		t.Fatal("aborted probe did not back off the cadence")
 	}
-	clk.advance(150 * time.Millisecond)
+	clk.advance(breakerProbeEvery + 50*time.Millisecond)
 	if h.Route() != RouteProbe {
 		t.Fatal("no probe after backoff interval")
 	}
 	h.Report(true, time.Millisecond, true)
-	if h.State() != Healthy {
-		t.Fatal("single-success recovery failed")
+	if h.Breaker() != BreakerHalfOpen {
+		t.Fatalf("breaker %v after a good probe, want half-open", h.Breaker())
 	}
 }
 
 func TestHealthDrainingIsTerminal(t *testing.T) {
-	h, _ := newTestHealth(HealthConfig{WindowSize: 4, MinSamples: 2})
+	h, _ := newTestHealth()
 	h.SetDraining()
 	if h.State() != Draining || !h.Draining() {
 		t.Fatal("not draining")
@@ -135,9 +136,7 @@ func TestHealthDrainingIsTerminal(t *testing.T) {
 		t.Fatalf("draining String() = %q", h.State().String())
 	}
 	// Outcomes while draining change nothing.
-	h.Report(false, 0, false)
-	h.Report(false, 0, false)
-	h.Report(false, 0, false)
+	trip(h)
 	if h.State() != Draining {
 		t.Fatal("left draining")
 	}
@@ -147,9 +146,8 @@ func TestHealthDrainingIsTerminal(t *testing.T) {
 }
 
 func TestHealthLateReportsAfterTripIgnored(t *testing.T) {
-	h, _ := newTestHealth(HealthConfig{WindowSize: 4, MinSamples: 2, FailureRate: 0.5, ProbeSuccesses: 1})
-	h.Report(false, 0, false)
-	h.Report(false, 0, false)
+	h, _ := newTestHealth()
+	trip(h)
 	if h.State() != Degraded {
 		t.Fatal("not degraded")
 	}

@@ -252,19 +252,14 @@ func TestPanicIsolation(t *testing.T) {
 // with an explicit degraded marker, /healthz and /metrics reflect the state,
 // and once the fault clears half-open probes close the breaker again.
 func TestBreakerTripDegradedAndRecovery(t *testing.T) {
-	ts, srv, metrics := lifecycleServer(t, Config{
-		Health: HealthConfig{
-			WindowSize: 8, MinSamples: 2, FailureRate: 0.5,
-			ProbeEvery: 20 * time.Millisecond, ProbeSuccesses: 2,
-		},
-	})
+	ts, srv, metrics := lifecycleServer(t, Config{})
 	defer faultinject.Reset()
 	batchErr := errors.New("injected: compute failure")
 	faultinject.Enable(faultinject.ServeBatch, faultinject.Fail(batchErr))
 
 	// Fail real-path requests until the breaker trips.
 	tripped := false
-	for i := 0; i < 20; i++ {
+	for i := 0; i < breakerMinSamples; i++ {
 		resp, _ := postRaw(t, ts.Client(), ts.URL+"/v1/models/air/impute", lifecycleRow(t, ts))
 		resp.Body.Close()
 		if srv.health.State() == Degraded {
@@ -352,16 +347,14 @@ func TestBreakerTripDegradedAndRecovery(t *testing.T) {
 // TestDegradedFallbackOff asserts the -degraded-fallback off policy: while
 // the breaker is open, requests get clean 503s instead of fallback answers.
 func TestDegradedFallbackOff(t *testing.T) {
-	ts, srv, _ := lifecycleServer(t, Config{
-		DegradedFallback: FallbackOff,
-		Health: HealthConfig{
-			WindowSize: 8, MinSamples: 2, FailureRate: 0.5,
-			ProbeEvery: time.Hour, // no probes: deterministic fallback routing
-		},
-	})
+	ts, srv, _ := lifecycleServer(t, Config{DegradedFallback: FallbackOff})
+	// A frozen clock never reaches the next probe: deterministic fallback
+	// routing.
+	frozen := time.Now()
+	srv.health.now = func() time.Time { return frozen }
 	defer faultinject.Reset()
 	faultinject.Enable(faultinject.ServeBatch, faultinject.Fail(errors.New("injected")))
-	for i := 0; i < 10 && srv.health.State() != Degraded; i++ {
+	for i := 0; i < breakerMinSamples && srv.health.State() != Degraded; i++ {
 		resp, _ := postRaw(t, ts.Client(), ts.URL+"/v1/models/air/impute", lifecycleRow(t, ts))
 		resp.Body.Close()
 	}

@@ -47,7 +47,6 @@ type Config struct {
 
 	DefaultTimeout   time.Duration // per-request deadline when ?timeout_ms= is absent (default 10s)
 	MaxTimeout       time.Duration // ceiling for ?timeout_ms= overrides (default 60s)
-	Health           HealthConfig  // circuit breaker driving the health state machine
 	DegradedFallback string        // FallbackAuto (default), FallbackMeans, or FallbackOff
 }
 
@@ -76,7 +75,6 @@ func (c Config) withDefaults() Config {
 	if c.DegradedFallback == "" {
 		c.DegradedFallback = FallbackAuto
 	}
-	c.Health = c.Health.withDefaults()
 	c.Admission = c.Admission.withDefaults()
 	return c
 }

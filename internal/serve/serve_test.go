@@ -300,6 +300,19 @@ func TestServerValidationAndErrors(t *testing.T) {
 	if code := post(ts.URL+"/v1/models/air/impute", `{"rows":[[null,null,null,null,null,null]]}`); code != http.StatusBadRequest {
 		t.Fatalf("all-null rows: status %d", code)
 	}
+	// An all-null row is refused beside a full one too: fold-in would
+	// answer it with the training minimum of every column.
+	resp, err := client.Post(ts.URL+"/v1/models/air/impute", "application/json",
+		bytes.NewBufferString(`{"rows":[[40,116.5,0.5,50,50,50],[null,null,null,null,null,null]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ Error string }
+	json.NewDecoder(resp.Body).Decode(&doc)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(doc.Error, "row 1 ") {
+		t.Fatalf("full row beside an all-null row: status %d error %q, want 400 naming row 1", resp.StatusCode, doc.Error)
+	}
 	if code := post(ts.URL+"/v1/models/air/impute", `not json`); code != http.StatusBadRequest {
 		t.Fatalf("bad json: status %d", code)
 	}
@@ -594,14 +607,10 @@ func checkOverloaded(t *testing.T, resp *http.Response, doc map[string]any) int 
 func TestServerOverloadShedsAndRecovers(t *testing.T) {
 	path, orig, tail := fixture(t)
 	metrics := NewMetrics()
-	// A window that fits one full-row request (cost 6 of 8) but not two,
-	// and an adaptation cadence pushed out past the test so the window stays
-	// put.
+	// A window that fits one full-row request (cost 6 of 8) but not two;
+	// MinCost = MaxCost pins it.
 	registry := NewRegistry(Config{
-		Admission: AdmissionConfig{
-			MaxCost: 8, MinCost: 8,
-			TargetP95: time.Hour, AdaptEvery: time.Hour,
-		},
+		Admission: AdmissionConfig{MaxCost: 8, MinCost: 8, TargetP95: time.Hour},
 	}, metrics)
 	t.Cleanup(registry.Close)
 	if _, err := registry.LoadFile("air", path); err != nil {

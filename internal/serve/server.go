@@ -56,7 +56,7 @@ func NewServer(registry *Registry, metrics *Metrics) *Server {
 		registry:  registry,
 		metrics:   metrics,
 		admission: NewAdmission(registry.cfg.Admission),
-		health:    NewHealth(registry.cfg.Health),
+		health:    NewHealth(),
 		cfg:       registry.cfg,
 		mux:       http.NewServeMux(),
 	}
@@ -531,16 +531,20 @@ func buildRows(in [][]*float64, entry *Entry) (*mat.Dense, *mat.Mask, error) {
 		if len(row) != cols {
 			return nil, nil, fmt.Errorf("row %d has %d values, model has %d columns", i, len(row), cols)
 		}
+		seen := false
 		for j, cell := range row {
 			if cell == nil {
 				continue // missing: stays hidden, placeholder 0
 			}
 			dense.Set(i, j, *cell)
 			mask.Observe(i, j)
+			seen = true
 		}
-	}
-	if mask.Count() == 0 {
-		return nil, nil, errors.New("rows have no observed cells")
+		if !seen {
+			// FoldIn would refuse the whole stacked batch, failing this
+			// request's batch-mates with it.
+			return nil, nil, fmt.Errorf("row %d has no observed cells", i)
+		}
 	}
 	if entry.Norm != nil {
 		entry.Norm.Apply(dense)

@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -381,7 +382,9 @@ func readMasked(path string, l int) (*dataset.Dataset, *mat.Mask, error) {
 // of U·V is computed by mat.Mul, the arithmetic of Model.Recover and
 // CompleteRows, src's observed cells replace it, and nz maps it back to
 // original units. The output therefore matches the library's whole-matrix
-// path byte for byte, whichever storage src reads.
+// path byte for byte, whichever storage src reads. A NaN or ±Inf answer (an
+// extreme observed value can fold in to one) is an error naming its cell,
+// as smfld answers it with a 422, never a value in the file.
 func writeCompleted(out string, stdout io.Writer, columns []string, u, v *mat.Dense, src mat.RowSource, nz *dataset.Normalizer) (filled int, err error) {
 	w := stdout
 	if out != "" {
@@ -414,6 +417,9 @@ func writeCompleted(out string, stdout io.Writer, columns []string, u, v *mat.De
 		}
 		nz.Invert(row)
 		for j, val := range pred {
+			if math.IsNaN(val) || math.IsInf(val, 0) {
+				return 0, fmt.Errorf("row %d, column %s: the answer is not finite: an observed value is too extreme for the model", i, columns[j])
+			}
 			rec[j] = strconv.FormatFloat(val, 'g', -1, 64)
 		}
 		if err := cw.Write(rec); err != nil {

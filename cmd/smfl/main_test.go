@@ -191,6 +191,41 @@ func TestRunImputeSaveModelAndFoldIn(t *testing.T) {
 	}
 }
 
+// TestRunFoldinRefusesNonFiniteAnswer: an SI value far outside the
+// training range folds in to a NaN answer. foldin must refuse it with an
+// error naming the cell, as smfld answers it with a 422, not write NaN into
+// the CSV — under either spatial index, since the landmark warm start gives
+// such a row up too.
+func TestRunFoldinRefusesNonFiniteAnswer(t *testing.T) {
+	in := writeTempCSV(t, true)
+	dir := t.TempDir()
+	far := filepath.Join(dir, "far.csv")
+	lines := strings.Split(string(mustRead(t, in)), "\n")
+	fields := strings.Split(lines[1], ",")
+	fields[0], fields[3] = "1e200", ""
+	if err := os.WriteFile(far, []byte(lines[0]+"\n"+strings.Join(fields, ",")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, index := range []string{"exact", "landmark"} {
+		modelPath := filepath.Join(dir, index+".smfl")
+		var stdout, stderr bytes.Buffer
+		err := run(context.Background(), []string{"impute", "-in", in, "-out", filepath.Join(dir, "f.csv"),
+			"-k", "3", "-maxiter", "40", "-spatial-index", index, "-savemodel", modelPath}, &stdout, &stderr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout.Reset()
+		err = run(context.Background(), []string{"foldin", "-model", modelPath, "-in", far}, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "row 0, column ") ||
+			!strings.Contains(err.Error(), "the answer is not finite: an observed value is too extreme for the model") {
+			t.Fatalf("%s index: foldin of a far SI row: got %v, want a not-finite error naming its cell", index, err)
+		}
+		if strings.Contains(stdout.String(), "NaN") || strings.Contains(stdout.String(), "Inf") {
+			t.Fatalf("%s index: foldin wrote a non-finite value: %q", index, stdout.String())
+		}
+	}
+}
+
 // TestSaveModelIsLoadableByCore asserts the -savemodel output is a plain
 // wire-v2 .smfl file (the format cmd/smfld serves) carrying norm stats.
 func TestSaveModelIsLoadableByCore(t *testing.T) {

@@ -180,7 +180,7 @@ const (
 	// landmark-bucket index (internal/landmark): ⌈√N⌉ landmark rows bucket
 	// the data, candidate generation searches only rows sharing nearby
 	// landmarks, and the fitted model carries an O(L) Placer so fold-in
-	// rows get spatial context without touching any N-sized structure.
+	// rows get a warm start without touching any N-sized structure.
 	SpatialLandmark
 )
 
@@ -229,7 +229,7 @@ type Config struct {
 	// SpatialIndex picks the spatial backend (exact by default). With
 	// SpatialLandmark, GraphMode is ignored, SMFL reuses the index's
 	// landmark selection for C (when LandmarkSource is KMeansCenters), and
-	// the fitted model gains a Placer for O(L) fold-in placement.
+	// the fitted model gains a Placer for O(L) fold-in warm starts.
 	SpatialIndex SpatialIndex
 
 	// FoldInTol is the per-row relative objective-change tolerance that
@@ -388,10 +388,10 @@ type Model struct {
 	// Norm, when non-nil, is the training normalization; Save persists it.
 	Norm *Norm
 
-	// Placer, when non-nil, is the O(L) landmark placement model attached
-	// by fits run with SpatialIndex == SpatialLandmark. FoldIn uses it to
-	// warm-start new rows from the trained coefficients of their nearest
-	// landmarks; the serving layer uses it to report spatial context. It
+	// Placer, when non-nil, is the O(L) landmark warm-start model attached
+	// by fits run with SpatialIndex == SpatialLandmark. FoldIn starts new
+	// rows from the trained coefficients of their nearest landmarks, and
+	// the serving layer's degraded fallback answers from the same blend. It
 	// references nothing of size N.
 	Placer *landmark.Placer
 

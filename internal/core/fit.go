@@ -164,12 +164,7 @@ func train(model *Model, tr *trainer, in *input, graph *spatial.Graph, ix *landm
 		return model, err
 	}
 	if ix != nil {
-		// Placement is an enhancement, not a contract: an index too small
-		// for LMDS (< 2 landmarks) just leaves Placer nil and fold-in keeps
-		// its random initialization.
-		if p, perr := ix.NewPlacer(model.U); perr == nil {
-			model.Placer = p
-		}
+		model.Placer = ix.NewPlacer(model.U)
 	}
 	return model, nil
 }

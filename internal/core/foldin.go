@@ -70,25 +70,15 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 	k := m.Config.K
 	rng := rand.New(rand.NewSource(m.Config.Seed + 1))
 	u := mat.RandomUniform(rng, r, k, 1e-3, 1)
-	// Landmark warm start: rows whose SI cells are all observed are placed
-	// against the O(L) landmark model and start from a Shepard blend of their
-	// nearest landmarks' trained coefficients instead of noise. The blend is
-	// deterministic and per-row, so single-row and batched fold-ins still
-	// agree; rows with hidden SI cells keep the random initialization.
-	if m.Placer != nil && m.L > 0 && m.L <= cols && m.Placer.Dim() == m.L && m.Placer.Coeff().Cols() == k {
-		si := make([]float64, m.L)
+	// Landmark warm start: rows whose SI cells are all observed start from
+	// a Shepard blend of their nearest landmarks' trained coefficients
+	// instead of noise. The blend is deterministic and per-row, so
+	// single-row and batched fold-ins still agree; rows the placer refuses
+	// (hidden SI, or SI too far from every landmark) keep the random
+	// initialization.
+	if m.Placer != nil {
 		for i := 0; i < r; i++ {
-			seen := true
-			for j := 0; j < m.L; j++ {
-				if !omega.Observed(i, j) {
-					seen = false
-					break
-				}
-				si[j] = rows.At(i, j)
-			}
-			if seen {
-				m.Placer.WarmStart(u.Row(i), si)
-			}
+			m.Placer.WarmStart(u.Row(i), rows, omega, i)
 		}
 	}
 	tol := m.Config.FoldInTol

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/spatialmf/smfl/internal/landmark"
 	"github.com/spatialmf/smfl/internal/mat"
 )
 
@@ -24,6 +25,66 @@ func fuzzSeedModel() *Model {
 		Iters:     3,
 		Converged: true,
 	}
+}
+
+// fuzzPlacerModel is fuzzSeedModel with a landmark Placer built over SI
+// coordinates for its four rows, so the fuzzer also starts from valid placer
+// bytes. fuzzSeedModel itself stays placer-free: its bytes are pinned.
+func fuzzPlacerModel(tb testing.TB) *Model {
+	m := fuzzSeedModel()
+	m.Config.SpatialIndex = SpatialLandmark
+	ix, err := landmark.Build(mat.FromRows([][]float64{{0.1}, {0.4}, {0.6}, {0.9}}), landmark.Config{Seed: 7})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m.Placer = ix.NewPlacer(m.U)
+	return m
+}
+
+// legacyPlacerWire is the placer image written before the Landmark-MDS
+// embedding was dropped: today's fields plus the four retired MDS ones.
+type legacyPlacerWire struct {
+	Coords    []byte
+	Coeff     []byte
+	Probes    int
+	MDSDim    int
+	MDSMu     []float64
+	MDSCoords []byte
+	MDSSharp  []byte
+}
+
+// legacyPlacerBytes saves m, which must carry a Placer, with its placer
+// image rewritten in the legacy layout, MDS fields filled.
+func legacyPlacerBytes(tb testing.TB, m *Model) []byte {
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	var wire modelWire
+	if err := gob.NewDecoder(&buf).Decode(&wire); err != nil {
+		tb.Fatal(err)
+	}
+	var pw legacyPlacerWire
+	if err := gob.NewDecoder(bytes.NewReader(wire.Placer)).Decode(&pw); err != nil {
+		tb.Fatal(err)
+	}
+	l := m.Placer.Landmarks()
+	pw.MDSDim, pw.MDSMu = 1, make([]float64, l)
+	var err error
+	if pw.MDSCoords, err = mat.NewDense(l, 1).MarshalBinary(); err != nil {
+		tb.Fatal(err)
+	}
+	pw.MDSSharp = pw.MDSCoords
+	var pbuf bytes.Buffer
+	if err := gob.NewEncoder(&pbuf).Encode(&pw); err != nil {
+		tb.Fatal(err)
+	}
+	wire.Placer = pbuf.Bytes()
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(&wire); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func fuzzSeedBytes(f *testing.F) []byte {
@@ -99,6 +160,15 @@ func FuzzReadModel(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(bombBuf.Bytes())
+
+	// A model carrying a Placer, as written now and in the legacy layout
+	// with the retired MDS fields, so mutations reach the placer decoder.
+	var placerBuf bytes.Buffer
+	if err := fuzzPlacerModel(f).Save(&placerBuf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(placerBuf.Bytes())
+	f.Add(legacyPlacerBytes(f, fuzzPlacerModel(f)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {

@@ -42,7 +42,7 @@ type modelWire struct {
 	Partial    bool
 	Recoveries int
 
-	// Placer is the O(L) placement model attached by landmark-index fits
+	// Placer is the O(L) warm-start model attached by landmark-index fits
 	// (empty when absent).
 	Placer []byte
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -70,6 +71,42 @@ func TestLoadedModelServesFoldIn(t *testing.T) {
 	}
 	if !mat.EqualApprox(a, b, 0) {
 		t.Fatal("loaded model folds in differently")
+	}
+}
+
+// TestLoadLegacyPlacerImage: a model file whose placer image still carries
+// the retired Landmark-MDS fields loads with its Placer and folds in bit for
+// bit like the same model saved now. Both images seed FuzzReadModel.
+func TestLoadLegacyPlacerImage(t *testing.T) {
+	var buf bytes.Buffer
+	if err := fuzzPlacerModel(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rows := mat.FromRows([][]float64{{0.5, 0.3, 0.7}, {0.95, 0.6, 0.2}})
+	mask := mat.FullMask(rows.Dims())
+	mask.Hide(0, 2)
+	var want []float64
+	for _, img := range [][]byte{buf.Bytes(), legacyPlacerBytes(t, fuzzPlacerModel(t))} {
+		m, err := Load(bytes.NewReader(img))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Placer == nil {
+			t.Fatal("placer did not load")
+		}
+		u, err := m.FoldIn(rows, mask, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = u.Data()
+			continue
+		}
+		for i, v := range u.Data() {
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Fatalf("legacy image folds in differently at coefficient %d: %v vs %v", i, v, want[i])
+			}
+		}
 	}
 }
 

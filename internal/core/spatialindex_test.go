@@ -108,26 +108,57 @@ func TestPersistRoundtripWithPlacer(t *testing.T) {
 	if loaded.Placer == nil {
 		t.Fatal("placer did not roundtrip")
 	}
-	si := x.Row(0)[:l]
-	a, err := model.Placer.Place(si)
+	// The placer must warm-start fold-in identically after persistence.
+	rows := x.Slice(0, 8, 0, x.Cols())
+	a, err := model.FoldIn(rows, nil, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := loaded.Placer.Place(si)
+	b, err := loaded.FoldIn(rows, nil, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.DistEvals != loaded.Placer.Landmarks() {
-		t.Fatalf("placement cost %d evals, want exactly L=%d", a.DistEvals, loaded.Placer.Landmarks())
-	}
-	for i := range a.Embedding {
-		if a.Embedding[i] != b.Embedding[i] {
-			t.Fatalf("embedding drifted through persistence: %v vs %v", a.Embedding, b.Embedding)
+	for i, v := range a.Data() {
+		if math.Float64bits(v) != math.Float64bits(b.Data()[i]) {
+			t.Fatalf("fold-in coefficient %d drifted through persistence: %v vs %v", i, v, b.Data()[i])
 		}
 	}
-	for i := range a.Nearest {
-		if a.Nearest[i] != b.Nearest[i] || a.Dist[i] != b.Dist[i] {
-			t.Fatalf("nearest landmarks drifted through persistence")
+}
+
+// TestFoldInFarSIKeepsRandomStart: a row whose SI is too far from every
+// landmark for the placer to weight any of them folds in from the same
+// random start as on a model without a placer, bit for bit — never from an
+// all-zero row, which the multiplicative update cannot leave.
+func TestFoldInFarSIKeepsRandomStart(t *testing.T) {
+	x, omega, l := testProblem(t, 150, 14)
+	cfg := quickCfg(4)
+	cfg.SpatialIndex = SpatialLandmark
+	model, err := Fit(x, omega, l, SMFL, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if model.Placer == nil {
+		t.Fatal("fit did not attach a placer")
+	}
+	rows := x.Slice(0, 3, 0, x.Cols()).Clone()
+	for j := 0; j < l; j++ {
+		rows.Set(1, j, 1e200)
+	}
+	mask := mat.FullMask(rows.Dims())
+	mask.Hide(1, x.Cols()-1)
+	warm, err := model.FoldIn(rows, mask, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := *model
+	cold.Placer = nil
+	want, err := cold.FoldIn(rows, mask, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < cfg.K; j++ {
+		if math.Float64bits(warm.At(1, j)) != math.Float64bits(want.At(1, j)) {
+			t.Fatalf("far-SI row: coefficient %d is %v, %v without the placer", j, warm.At(1, j), want.At(1, j))
 		}
 	}
 }

@@ -14,16 +14,6 @@ import (
 // This is how the SMFL fit reuses one landmark selection for both the
 // spatial index and the paper's landmark matrix C — no second pass over N.
 
-// BucketSizes returns the number of rows assigned to each landmark's bucket
-// (the coreset weights; they sum to N).
-func (ix *Index) BucketSizes() []int {
-	w := make([]int, len(ix.buckets))
-	for b, rows := range ix.buckets {
-		w[b] = len(rows)
-	}
-	return w
-}
-
 // KCenters clusters the weighted landmark coreset into k centers with
 // Lloyd's algorithm (weighted k-means++ seeding), at most maxIter rounds.
 // The coreset points are the bucket centroids — already one implicit Lloyd

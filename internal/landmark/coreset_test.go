@@ -17,8 +17,8 @@ func TestBucketSizesPartitionRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, w := range ix.BucketSizes() {
-		total += w
+	for _, rows := range ix.buckets {
+		total += len(rows)
 	}
 	if total != 500 {
 		t.Fatalf("bucket sizes sum to %d, want 500 (buckets must partition the rows)", total)
@@ -91,7 +91,7 @@ func TestKCentersValidation(t *testing.T) {
 	if _, err := ix.KCenters(0, kmeans.DefaultMaxIter, 1); err == nil {
 		t.Fatal("KCenters accepted k=0")
 	}
-	if _, err := ix.KCenters(len(ix.Landmarks())+1, kmeans.DefaultMaxIter, 1); err == nil {
+	if _, err := ix.KCenters(len(ix.landmarks)+1, kmeans.DefaultMaxIter, 1); err == nil {
 		t.Fatal("KCenters accepted k greater than the landmark count")
 	}
 }

@@ -2,10 +2,8 @@ package landmark
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"github.com/spatialmf/smfl/internal/mat"
 	"github.com/spatialmf/smfl/internal/spatial"
@@ -24,14 +22,10 @@ import (
 // O(N) grid packing instead of the exact path's full KD-tree build over N
 // points followed by N tree searches.
 type Index struct {
-	cfg       Config
-	probes    int        // buckets a query scans, its own included
-	si        *mat.Dense // referenced, read-only
-	landmarks []int      // selected row indices, selection order
-	coords    *mat.Dense // L×d landmark coordinates (owned copy)
-	mdsOnce   sync.Once  // LMDS is lazy: graph construction never needs it
-	mds       *LMDS
-	mdsErr    error
+	probes    int         // buckets a query scans, its own included
+	si        *mat.Dense  // referenced, read-only
+	landmarks []int       // selected row indices, selection order
+	coords    *mat.Dense  // L×d landmark coordinates (owned copy)
 	primary   []int32     // nearest landmark per row
 	px, py    int         // projection axes (py < 0: single-axis projection)
 	buckets   [][]int32   // rows of each bucket, grid-cell order
@@ -57,8 +51,8 @@ type cellRef struct {
 	c  int32
 }
 
-// Build selects landmarks over si, fits the LMDS model, and buckets every
-// row under its nearest landmark.
+// Build selects landmarks over si and buckets every row under its nearest
+// landmark.
 func Build(si *mat.Dense, cfg Config) (*Index, error) {
 	n, d := si.Dims()
 	sel, err := Select(si, cfg)
@@ -70,7 +64,7 @@ func Build(si *mat.Dense, cfg Config) (*Index, error) {
 	for i, row := range sel {
 		copy(coords.Row(i), si.Row(row))
 	}
-	ix := &Index{cfg: cfg, probes: min(DefaultProbes, cfg.landmarks(n)), si: si, landmarks: sel, coords: coords}
+	ix := &Index{probes: min(DefaultProbes, cfg.landmarks(n)), si: si, landmarks: sel, coords: coords}
 	// Projection axes: the two highest-variance coordinates. For the
 	// paper's 2-D SI this is the identity; for higher-dimensional SI the
 	// projected cell bounds stay valid lower bounds.
@@ -380,28 +374,6 @@ func (g *bgrid) bboxDist2(px, py float64) float64 {
 	return dx*dx + dy*dy
 }
 
-// Landmarks returns the selected row indices in selection order (the prefix
-// is the best-spread subset). Read-only.
-func (ix *Index) Landmarks() []int { return ix.landmarks }
-
-// Coords returns the L×d landmark coordinate matrix (read-only).
-func (ix *Index) Coords() *mat.Dense { return ix.coords }
-
-// ensureMDS fits the landmark MDS model on first use. Pure graph
-// construction never pays for the eigendecomposition; embedding and
-// placement do, once.
-func (ix *Index) ensureMDS() (*LMDS, error) {
-	ix.mdsOnce.Do(func() {
-		if l, _ := ix.coords.Dims(); l < 2 {
-			ix.mdsErr = errors.New("landmark: LMDS needs at least 2 landmarks")
-			return
-		}
-		_, d := ix.coords.Dims()
-		ix.mds, ix.mdsErr = NewLMDS(ix.coords, d, ix.cfg.Seed)
-	})
-	return ix.mds, ix.mdsErr
-}
-
 // cand is one scored neighbor candidate during a query (squared distance).
 type cand struct {
 	d2  float64
@@ -536,27 +508,13 @@ func (ix *Index) PNNGraph(p int) (*spatial.Graph, error) {
 	return spatial.NewGraphFromNeighbors(nbrs), nil
 }
 
-// NewPlacer extracts the O(L)-sized placement model: the landmark
-// coordinates, the LMDS map, and the landmark rows of the trained
-// coefficient matrix u (N×k, row-aligned with si). The Placer references
-// nothing of size N.
-func (ix *Index) NewPlacer(u *mat.Dense) (*Placer, error) {
-	mds, err := ix.ensureMDS()
-	if err != nil {
-		return nil, fmt.Errorf("landmark: placer: %w", err)
-	}
-	un, uk := u.Dims()
-	if sn, _ := ix.si.Dims(); un != sn {
-		return nil, fmt.Errorf("landmark: coefficient rows %d, index built over %d", un, sn)
-	}
-	coeff := mat.NewDense(len(ix.landmarks), uk)
+// NewPlacer extracts the O(L)-sized warm-start model: the landmark
+// coordinates and the landmark rows of the trained coefficient matrix u
+// (N×k, row-aligned with si). The Placer references nothing of size N.
+func (ix *Index) NewPlacer(u *mat.Dense) *Placer {
+	coeff := mat.NewDense(len(ix.landmarks), u.Cols())
 	for i, row := range ix.landmarks {
 		copy(coeff.Row(i), u.Row(row))
 	}
-	return &Placer{
-		coords: ix.coords.Clone(),
-		mds:    mds,
-		coeff:  coeff,
-		probes: ix.probes,
-	}, nil
+	return &Placer{coords: ix.coords.Clone(), coeff: coeff, probes: ix.probes}
 }

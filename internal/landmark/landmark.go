@@ -3,17 +3,15 @@
 // geometry of the spatial information SI, exactly as the paper's landmark
 // matrix C stands in for cluster structure.
 //
-// The subsystem has four parts. Selection (this file) picks L well-spread
+// The subsystem has three parts. Selection (this file) picks L well-spread
 // rows by k-means++ D² sampling followed by maxmin (farthest-point) filling.
-// Classical Landmark MDS (lmds.go) solves the exact L×L double-centered
-// squared-distance system and triangulates any point into the landmark
-// embedding from its L landmark distances only. The Index (index.go) buckets
-// every row under its nearest landmark and answers approximate p-NN queries
-// by spiraling over small per-bucket grids in the few nearest buckets,
-// emitting the same spatial.Graph CSR the exact path produces. The Placer
-// (placer.go) carries just the L-sized slices of that state, giving the
-// serving path O(L) spatial placement for fold-in rows with no reference to
-// any N-sized structure.
+// The Index (index.go) buckets every row under its nearest landmark and
+// answers approximate p-NN queries by spiraling over small per-bucket grids
+// in the few nearest buckets, emitting the same spatial.Graph CSR the exact
+// path produces; its weighted bucket centroids (coreset.go) give the SMFL
+// fit its K-means landmarks C. The Placer (placer.go) carries just the
+// landmark coordinates and their trained coefficient rows, giving fold-in
+// rows an O(L) warm start with no reference to any N-sized structure.
 package landmark
 
 import (
@@ -40,7 +38,7 @@ type Config struct {
 	// to K so the first K landmarks can double as the paper's landmark
 	// columns in V.
 	MinLandmarks int
-	// Seed drives selection and the eigensolver start.
+	// Seed drives landmark selection.
 	Seed int64
 }
 

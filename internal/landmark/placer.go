@@ -9,30 +9,15 @@ import (
 	"github.com/spatialmf/smfl/internal/mat"
 )
 
-// Placer is the O(L) placement model for rows that arrive after training:
-// it holds only landmark-sized state (L×d coordinates, the LMDS map, and
-// the L×k landmark rows of the trained coefficient matrix), so placing a
-// row costs exactly L distance evaluations regardless of how many rows the
-// model was trained on. It is immutable and safe for concurrent use.
+// Placer is the O(L) warm-start model for rows that arrive after training:
+// it holds only landmark-sized state (L×d coordinates and the L×k landmark
+// rows of the trained coefficient matrix), so warm-starting a row costs
+// exactly L distance evaluations regardless of how many rows the model was
+// trained on. It is immutable and safe for concurrent use.
 type Placer struct {
 	coords *mat.Dense // L×d landmark SI coordinates
-	mds    *LMDS
 	coeff  *mat.Dense // L×k landmark fold-in coefficients
-	probes int
-}
-
-// Placement is the spatial context of one placed row.
-type Placement struct {
-	// Embedding is the row's LMDS coordinates, triangulated from its
-	// landmark distances.
-	Embedding []float64
-	// Nearest lists the closest landmarks (positions in the landmark set,
-	// nearest first) and Dist the matching distances.
-	Nearest []int
-	Dist    []float64
-	// DistEvals counts distance evaluations performed — always exactly L,
-	// the op-count the no-O(N) placement test pins down.
-	DistEvals int
+	probes int        // nearest landmarks a warm start blends
 }
 
 // Landmarks returns L.
@@ -41,30 +26,30 @@ func (p *Placer) Landmarks() int { return p.coords.Rows() }
 // Dim returns the SI dimensionality the placer expects.
 func (p *Placer) Dim() int { return p.coords.Cols() }
 
-// Place computes the spatial context of a row from its SI coordinates
-// alone. The input length must match Dim and be finite.
-func (p *Placer) Place(si []float64) (Placement, error) {
+// WarmStart writes a fold-in initialization for row i of rows into dst
+// (length k), reading the row's SI from its first Dim columns: an
+// inverse-distance Shepard blend of the nearest landmarks' trained
+// coefficient rows, floored at the random-init minimum so multiplicative
+// updates never see a stuck zero. Returns false (dst untouched) when dst is
+// not k long, rows has fewer than Dim columns, mask hides an SI cell of the
+// row, or no landmark gets a usable weight (the SI is non-finite or too far
+// from every landmark), letting the caller keep its random initialization.
+func (p *Placer) WarmStart(dst []float64, rows *mat.Dense, mask *mat.Mask, i int) bool {
 	l, d := p.coords.Dims()
-	if len(si) != d {
-		return Placement{}, errors.New("landmark: Place input length mismatch")
+	if len(dst) != p.coeff.Cols() || rows.Cols() < d {
+		return false
 	}
-	for _, v := range si {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return Placement{}, errors.New("landmark: Place input not finite")
+	for j := 0; j < d; j++ {
+		if !mask.Observed(i, j) {
+			return false
 		}
 	}
-	d2 := make([]float64, l)
-	for b := 0; b < l; b++ {
-		d2[b] = sqDist(si, p.coords.Row(b))
-	}
-	q := p.probes
-	if q > l {
-		q = l
-	}
+	si := rows.Row(i)[:d]
+	q := min(p.probes, l)
 	nearest := make([]int, 0, q)
 	dist := make([]float64, 0, q)
 	for b := 0; b < l; b++ {
-		db := math.Sqrt(d2[b])
+		db := math.Sqrt(sqDist(si, p.coords.Row(b)))
 		if len(nearest) == q && db >= dist[q-1] {
 			continue
 		}
@@ -81,43 +66,23 @@ func (p *Placer) Place(si []float64) (Placement, error) {
 		}
 		nearest[at], dist[at] = b, db
 	}
-	return Placement{
-		Embedding: p.mds.Triangulate(nil, d2),
-		Nearest:   nearest,
-		Dist:      dist,
-		DistEvals: l,
-	}, nil
-}
-
-// WarmStart writes a fold-in initialization for a row with SI coordinates
-// si into dst (length k): an inverse-distance Shepard blend of the nearest
-// landmarks' trained coefficient rows, floored at the random-init minimum
-// so multiplicative updates never see a stuck zero. Returns false (dst
-// untouched) when the input is unusable, letting the caller keep its
-// random initialization.
-func (p *Placer) WarmStart(dst, si []float64) bool {
-	if len(dst) != p.coeff.Cols() {
-		return false
-	}
-	pl, err := p.Place(si)
-	if err != nil {
-		return false
-	}
 	const eps = 1e-9
-	for k := range dst {
-		dst[k] = 0
-	}
+	w := dist // each distance becomes its landmark's weight
 	var wsum float64
-	for t, b := range pl.Nearest {
-		w := 1 / (pl.Dist[t]*pl.Dist[t] + eps)
-		wsum += w
-		row := p.coeff.Row(b)
-		for k, v := range row {
-			dst[k] += w * v
-		}
+	for t, db := range dist {
+		w[t] = 1 / (db*db + eps)
+		wsum += w[t]
 	}
 	if wsum <= 0 || math.IsNaN(wsum) || math.IsInf(wsum, 0) {
 		return false
+	}
+	for k := range dst {
+		dst[k] = 0
+	}
+	for t, b := range nearest {
+		for k, v := range p.coeff.Row(b) {
+			dst[k] += w[t] * v
+		}
 	}
 	for k := range dst {
 		dst[k] /= wsum
@@ -128,36 +93,24 @@ func (p *Placer) WarmStart(dst, si []float64) bool {
 	return true
 }
 
-// placerWire is the gob image of a Placer. Fields are append-only.
+// placerWire is the gob image of a Placer. Fields are append-only. Files
+// written before the Landmark-MDS embedding was dropped also carry MDSDim,
+// MDSMu, MDSCoords and MDSSharp; gob matches fields by name and skips those,
+// so no new field may take one of these names.
 type placerWire struct {
 	Coords []byte
 	Coeff  []byte
 	Probes int
-	// LMDS state.
-	MDSDim    int
-	MDSMu     []float64
-	MDSCoords []byte
-	MDSSharp  []byte
 }
 
 // MarshalBinary encodes the placer for persistence inside a model file.
 func (p *Placer) MarshalBinary() ([]byte, error) {
-	w := placerWire{
-		Probes: p.probes,
-		MDSDim: p.mds.dim,
-		MDSMu:  p.mds.mu,
-	}
+	w := placerWire{Probes: p.probes}
 	var err error
 	if w.Coords, err = p.coords.MarshalBinary(); err != nil {
 		return nil, err
 	}
 	if w.Coeff, err = p.coeff.MarshalBinary(); err != nil {
-		return nil, err
-	}
-	if w.MDSCoords, err = p.mds.coords.MarshalBinary(); err != nil {
-		return nil, err
-	}
-	if w.MDSSharp, err = p.mds.lsharp.MarshalBinary(); err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
@@ -174,27 +127,18 @@ func (p *Placer) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	coords, coeff := &mat.Dense{}, &mat.Dense{}
-	mcoords, msharp := &mat.Dense{}, &mat.Dense{}
 	if err := coords.UnmarshalBinary(w.Coords); err != nil {
 		return err
 	}
 	if err := coeff.UnmarshalBinary(w.Coeff); err != nil {
 		return err
 	}
-	if err := mcoords.UnmarshalBinary(w.MDSCoords); err != nil {
-		return err
-	}
-	if err := msharp.UnmarshalBinary(w.MDSSharp); err != nil {
-		return err
-	}
-	if w.Probes <= 0 || w.MDSDim <= 0 || coords.Rows() == 0 ||
-		coords.Rows() != coeff.Rows() || len(w.MDSMu) != coords.Rows() {
+	if w.Probes <= 0 || coords.Rows() == 0 || coords.Rows() != coeff.Rows() {
 		return errors.New("landmark: placer wire state inconsistent")
 	}
 	p.coords = coords
 	p.coeff = coeff
 	p.probes = w.Probes
-	p.mds = &LMDS{dim: w.MDSDim, mu: w.MDSMu, coords: mcoords, lsharp: msharp}
 	return nil
 }
 
@@ -202,32 +146,15 @@ func (p *Placer) UnmarshalBinary(data []byte) error {
 func (p *Placer) Coeff() *mat.Dense { return p.coeff }
 
 // Validate rejects placer state that decoded cleanly but does not describe a
-// well-formed placement model: non-finite matrices, or an LMDS map whose
-// shapes disagree with the landmark set. Model loading calls this so a
-// corrupted or hostile file is refused instead of crashing serving later.
+// well-formed warm-start model: missing or non-finite matrices. Model
+// loading calls this so a corrupted or hostile file is refused instead of
+// crashing serving later.
 func (p *Placer) Validate() error {
-	if p.coords == nil || p.coeff == nil || p.mds == nil {
+	if p.coords == nil || p.coeff == nil {
 		return errors.New("landmark: placer missing state")
 	}
-	l := p.coords.Rows()
 	if !p.coords.IsFinite() || !p.coeff.IsFinite() {
 		return errors.New("landmark: placer has non-finite entries")
-	}
-	m := p.mds
-	if m.coords == nil || m.lsharp == nil {
-		return errors.New("landmark: placer LMDS missing state")
-	}
-	if m.coords.Rows() != l || m.lsharp.Rows() != l || len(m.mu) != l ||
-		m.coords.Cols() != m.dim || m.lsharp.Cols() != m.dim {
-		return errors.New("landmark: placer LMDS shape mismatch")
-	}
-	if !m.coords.IsFinite() || !m.lsharp.IsFinite() {
-		return errors.New("landmark: placer LMDS has non-finite entries")
-	}
-	for _, v := range m.mu {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return errors.New("landmark: placer LMDS has non-finite entries")
-		}
 	}
 	return nil
 }

@@ -98,44 +98,3 @@ func Ridge(a *mat.Dense, b []float64, alpha float64) ([]float64, error) {
 	}
 	return CholeskySolve(l, atb), nil
 }
-
-// QR computes the thin QR decomposition A = Q R with Q m×n orthonormal
-// columns and R n×n upper triangular, using modified Gram–Schmidt with
-// one reorthogonalization pass.
-func QR(a *mat.Dense) (q, r *mat.Dense, err error) {
-	if !a.IsFinite() {
-		return nil, nil, ErrNotFinite
-	}
-	m, n := a.Dims()
-	q = a.Clone()
-	r = mat.NewDense(n, n)
-	for j := 0; j < n; j++ {
-		// Two MGS passes for numerical robustness.
-		for pass := 0; pass < 2; pass++ {
-			for k := 0; k < j; k++ {
-				var dot float64
-				for i := 0; i < m; i++ {
-					dot += q.At(i, k) * q.At(i, j)
-				}
-				r.Set(k, j, r.At(k, j)+dot)
-				for i := 0; i < m; i++ {
-					q.Set(i, j, q.At(i, j)-dot*q.At(i, k))
-				}
-			}
-		}
-		var norm float64
-		for i := 0; i < m; i++ {
-			norm += q.At(i, j) * q.At(i, j)
-		}
-		norm = math.Sqrt(norm)
-		r.Set(j, j, norm)
-		if norm < 1e-300 {
-			continue // rank-deficient column; leave as zeros
-		}
-		inv := 1 / norm
-		for i := 0; i < m; i++ {
-			q.Set(i, j, q.At(i, j)*inv)
-		}
-	}
-	return q, r, nil
-}

@@ -117,55 +117,6 @@ func TestRidgeHandlesRankDeficient(t *testing.T) {
 	}
 }
 
-func TestQRProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 25; trial++ {
-		m := 2 + rng.Intn(10)
-		n := 1 + rng.Intn(m)
-		a := mat.RandomNormal(rng, m, n, 0, 1)
-		q, r, err := QR(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !mat.EqualApprox(mat.Mul(nil, q, r), a, 1e-9) {
-			t.Fatal("QR != A")
-		}
-		if !mat.EqualApprox(mat.MulAT(nil, q, q), mat.Identity(n), 1e-9) {
-			t.Fatal("QᵀQ != I")
-		}
-		// R upper triangular.
-		for i := 1; i < n; i++ {
-			for j := 0; j < i; j++ {
-				if math.Abs(r.At(i, j)) > 1e-10 {
-					t.Fatal("R not upper triangular")
-				}
-			}
-		}
-	}
-}
-
-func TestSymEigenProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(9)
-		b := mat.RandomNormal(rng, n, n, 0, 1)
-		a := mat.Add(nil, b, b.T()) // symmetric
-		eig, err := SymEigen(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Q Λ Qᵀ == A
-		lam := mat.NewDense(n, n)
-		for i := 0; i < n; i++ {
-			lam.Set(i, i, eig.Values[i])
-		}
-		rec := mat.MulBT(nil, mat.Mul(nil, eig.Vectors, lam), eig.Vectors)
-		if !mat.EqualApprox(rec, a, 1e-8) {
-			t.Fatalf("trial %d: QΛQᵀ != A", trial)
-		}
-	}
-}
-
 func TestPCAOnPlane(t *testing.T) {
 	// Points on a line in 3D: one dominant component.
 	rng := rand.New(rand.NewSource(46))

@@ -1,8 +1,8 @@
 // Package linalg implements the numerical linear algebra needed by the
-// matrix-completion baselines of the SMFL reproduction: a one-sided Jacobi
-// SVD, Gram–Schmidt QR, a Cholesky-based ridge solver, a symmetric Jacobi
-// eigendecomposition, and PCA. Everything is written against internal/mat
-// and the standard library only.
+// baselines of the SMFL reproduction: a one-sided Jacobi SVD (behind MC,
+// SoftImpute and the PCA of the clustering baselines) and a Cholesky-based
+// ridge solver (behind the regression and repair baselines). Everything is
+// written against internal/mat and the standard library only.
 package linalg
 
 import (
@@ -170,6 +170,37 @@ func (d *SVD) SoftThresholdReconstruct(tau float64) *mat.Dense {
 		}
 	}
 	return shr.Reconstruct(0)
+}
+
+// PCA projects the rows of x onto its top-k principal components.
+// Returns the n×k score matrix. Columns of x are centered first.
+func PCA(x *mat.Dense, k int) (*mat.Dense, error) {
+	n, m := x.Dims()
+	if k <= 0 || k > m {
+		return nil, errors.New("linalg: PCA component count out of range")
+	}
+	centered := x.Clone()
+	for j := 0; j < m; j++ {
+		var mean float64
+		for i := 0; i < n; i++ {
+			mean += centered.At(i, j)
+		}
+		mean /= float64(n)
+		for i := 0; i < n; i++ {
+			centered.Set(i, j, centered.At(i, j)-mean)
+		}
+	}
+	svd, err := ComputeSVD(centered)
+	if err != nil {
+		return nil, err
+	}
+	scores := mat.NewDense(n, k)
+	for i := 0; i < n; i++ {
+		for j := 0; j < k; j++ {
+			scores.Set(i, j, svd.U.At(i, j)*svd.S[j])
+		}
+	}
+	return scores, nil
 }
 
 func sign(x float64) float64 {

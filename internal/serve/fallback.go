@@ -30,14 +30,14 @@ type fallback struct {
 	v        *mat.Dense // K×M feature matrix (shared with the model, immutable)
 	colMeans []float64  // length M, normalized units
 	placer   *landmark.Placer
-	l, k     int
+	k        int
 }
 
 // newFallback precomputes the degraded-mode state for model. Cost is one
 // O(N·K + K·M) pass at registration time.
 func newFallback(m *core.Model) *fallback {
 	k, cols := m.V.Dims()
-	f := &fallback{v: m.V, colMeans: make([]float64, cols), k: k}
+	f := &fallback{v: m.V, colMeans: make([]float64, cols), placer: m.Placer, k: k}
 	if m.U != nil && m.U.Rows() > 0 {
 		n, _ := m.U.Dims()
 		mu := make([]float64, k)
@@ -64,10 +64,6 @@ func newFallback(m *core.Model) *fallback {
 			f.colMeans[j] = 0.5
 		}
 	}
-	if p := m.Placer; p != nil && m.L > 0 && m.L <= cols && p.Dim() == m.L && p.Coeff().Cols() == k {
-		f.placer = p
-		f.l = m.L
-	}
 	return f
 }
 
@@ -79,34 +75,20 @@ func (f *fallback) complete(rows *mat.Dense, mask *mat.Mask, usePlacer bool) (*m
 	r, cols := rows.Dims()
 	out := rows.Clone()
 	source := "placer"
-	si := make([]float64, f.l)
 	u := make([]float64, f.k)
 	for i := 0; i < r; i++ {
-		placed := false
-		if usePlacer && f.placer != nil {
-			seen := true
-			for j := 0; j < f.l; j++ {
-				if !mask.Observed(i, j) {
-					seen = false
-					break
+		if usePlacer && f.placer != nil && f.placer.WarmStart(u, rows, mask, i) {
+			for j := 0; j < cols; j++ {
+				if mask.Observed(i, j) {
+					continue
 				}
-				si[j] = rows.At(i, j)
-			}
-			if seen && f.placer.WarmStart(u, si) {
-				placed = true
-				for j := 0; j < cols; j++ {
-					if mask.Observed(i, j) {
-						continue
-					}
-					var p float64
-					for t := 0; t < f.k; t++ {
-						p += u[t] * f.v.At(t, j)
-					}
-					out.Set(i, j, p)
+				var p float64
+				for t := 0; t < f.k; t++ {
+					p += u[t] * f.v.At(t, j)
 				}
+				out.Set(i, j, p)
 			}
-		}
-		if !placed {
+		} else {
 			source = "means"
 			for j := 0; j < cols; j++ {
 				if !mask.Observed(i, j) {

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -23,7 +24,9 @@ import (
 	"path/filepath"
 	"strings"
 
+	"github.com/spatialmf/smfl/internal/atomicfile"
 	"github.com/spatialmf/smfl/internal/dataset"
+	"github.com/spatialmf/smfl/internal/faultinject"
 	"github.com/spatialmf/smfl/internal/store"
 )
 
@@ -109,21 +112,20 @@ func writeOne(name string, scale float64, seed int64, out, labelsPath string) er
 	if err != nil {
 		return err
 	}
-	if err := res.Data.SaveCSV(out); err != nil {
+	if err := atomicfile.Write(out, 0o666, res.Data.WriteCSV, faultinject.PersistWrite, faultinject.PersistRename, out); err != nil {
 		return err
 	}
-	if labelsPath != "" {
-		f, err := os.Create(labelsPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		fmt.Fprintln(f, "row,cluster")
-		for i, l := range res.Labels {
-			fmt.Fprintf(f, "%d,%d\n", i, l)
-		}
+	if labelsPath == "" {
+		return nil
 	}
-	return nil
+	return atomicfile.Write(labelsPath, 0o666, func(w io.Writer) error {
+		bw := bufio.NewWriter(w)
+		fmt.Fprintln(bw, "row,cluster")
+		for i, l := range res.Labels {
+			fmt.Fprintf(bw, "%d,%d\n", i, l)
+		}
+		return bw.Flush()
+	}, faultinject.PersistWrite, faultinject.PersistRename, labelsPath)
 }
 
 func fatal(err error) {

@@ -6,13 +6,16 @@
 //	smfl impute  -in data.csv -out filled.csv [-l 2] [-method SMFL] [-k 10] [-lambda 0.1] [-p 3] [-savemodel m.smfl]
 //	smfl repair  -in data.csv -out repaired.csv [-l 2] [-threshold 6] ...
 //	smfl cluster -in data.csv [-l 2] [-k 5]
-//	smfl foldin  -model m.smfl -in new.csv -out filled.csv [-foldin-tol 1e-8]
+//	smfl foldin  -model m.smfl -in new.csv -out filled.csv [-maxiter 100]
 //	smfl convert -in data.csv -out data.smfs [-l 2] [-shard-rows 4096]
 //	smfl impute  -in data.smfs -out filled.csv -updater sgd [-mem-budget 256MiB] ...
 //
 // For impute, empty CSV cells mark the missing values. For repair, dirty
 // cells are found with the spatial-outlier detector. The table is min-max
-// normalized internally and written back in original units.
+// normalized internally and written back in original units. An -out file
+// appears only once it is complete: a run that fails leaves any previous
+// file at that path untouched. An -out that names a device or a FIFO, such
+// as /dev/null, is written to in place.
 //
 // Long fits are crash-safe and cancellable: -checkpoint makes impute write an
 // atomic training checkpoint every -checkpoint-every iterations (and on
@@ -48,8 +51,10 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/spatialmf/smfl/internal/atomicfile"
 	"github.com/spatialmf/smfl/internal/core"
 	"github.com/spatialmf/smfl/internal/dataset"
+	"github.com/spatialmf/smfl/internal/faultinject"
 	"github.com/spatialmf/smfl/internal/kmeans"
 	"github.com/spatialmf/smfl/internal/mat"
 	"github.com/spatialmf/smfl/internal/repair"
@@ -87,7 +92,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	lambda := fs.Float64("lambda", 0.1, "spatial regularization weight")
 	p := fs.Int("p", 3, "spatial nearest neighbors")
 	seed := fs.Int64("seed", 1, "RNG seed")
-	maxIter := fs.Int("maxiter", 500, "iteration cap (epochs under sgd/svrg)")
+	maxIter := fs.Int("maxiter", 0, "iteration cap, epochs under sgd/svrg; foldin: updates per row (0 = 500 for a fit, the checkpoint's cap with -resume, 100 for foldin)")
 	tol := fs.Float64("tol", 0, "relative objective-change early stop (0 = default 1e-5)")
 	updater := fs.String("updater", "multiplicative", "optimizer: multiplicative | gd | sgd | svrg")
 	batchCells := fs.Int("batch-cells", 0, "sgd/svrg: target observed cells per mini-batch (0 = default 32768)")
@@ -98,7 +103,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	checkpoint := fs.String("checkpoint", "", "impute: write an atomic training checkpoint here")
 	checkpointEvery := fs.Int("checkpoint-every", 25, "impute: checkpoint cadence in iterations")
 	resume := fs.Bool("resume", false, "impute: continue the fit from -checkpoint instead of starting over")
-	foldinTol := fs.Float64("foldin-tol", 0, "foldin: per-row convergence tolerance (0 = model default)")
 	spatialIndex := fs.String("spatial-index", "exact", "p-NN graph backend: exact | landmark (sub-quadratic, recommended for large N)")
 	memBudget := fs.String("mem-budget", "", "impute from a shard store: resident shard-cache budget, e.g. 256MiB (default)")
 	shardRows := fs.Int("shard-rows", 0, "convert: rows per shard (0 = default 4096)")
@@ -269,9 +273,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// New rows arrive in original units; apply the training
 		// normalization, fold in, and map back.
 		nz.Apply(ds.X)
-		if *foldinTol > 0 {
-			model.Config.FoldInTol = *foldinTol
-		}
 		model.Config.Ctx = ctx
 		start := time.Now()
 		u, err := model.FoldIn(ds.X, mask, *maxIter)
@@ -377,57 +378,57 @@ func readMasked(path string, l int) (*dataset.Dataset, *mat.Mask, error) {
 }
 
 // writeCompleted writes the completed table of Formula 8 as CSV to the file
-// out, or to stdout when out is empty, and returns the number of cells it
-// filled. It streams one row at a time and never holds the N×M table: row i
+// out, published through internal/atomicfile only once complete, or streams
+// it to stdout when out is empty, and returns the number of cells it filled.
+// It computes one row at a time and never holds the N×M table: row i
 // of U·V is computed by mat.Mul, the arithmetic of Model.Recover and
 // CompleteRows, src's observed cells replace it, and nz maps it back to
 // original units. The output therefore matches the library's whole-matrix
 // path byte for byte, whichever storage src reads. A NaN or ±Inf answer (an
 // extreme observed value can fold in to one) is an error naming its cell,
 // as smfld answers it with a 422, never a value in the file.
-func writeCompleted(out string, stdout io.Writer, columns []string, u, v *mat.Dense, src mat.RowSource, nz *dataset.Normalizer) (filled int, err error) {
-	w := stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return 0, err
+func writeCompleted(out string, stdout io.Writer, columns []string, u, v *mat.Dense, src mat.RowSource, nz *dataset.Normalizer) (int, error) {
+	n, m := src.Dims()
+	write := func(w io.Writer) error {
+		cw := csv.NewWriter(w)
+		if err := cw.Write(columns); err != nil {
+			return err
 		}
-		defer func() {
-			if cerr := f.Close(); err == nil {
-				err = cerr
+		rd := src.Reader()
+		defer rd.Release()
+		row := mat.NewDense(1, m)
+		pred := row.Row(0)
+		rec := make([]string, m)
+		for i := 0; i < n; i++ {
+			mat.Mul(row, mat.NewDenseData(1, u.Cols(), u.Row(i)), v)
+			x, cols := rd.Row(i)
+			for _, j := range cols {
+				pred[j] = x[j]
 			}
-		}()
-		w = f
+			nz.Invert(row)
+			for j, val := range pred {
+				if math.IsNaN(val) || math.IsInf(val, 0) {
+					return fmt.Errorf("row %d, column %s: the answer is not finite: an observed value is too extreme for the model", i, columns[j])
+				}
+				rec[j] = strconv.FormatFloat(val, 'g', -1, 64)
+			}
+			if err := cw.Write(rec); err != nil {
+				return err
+			}
+		}
+		cw.Flush()
+		return cw.Error()
 	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write(columns); err != nil {
+	var err error
+	if out == "" {
+		err = write(stdout)
+	} else {
+		err = atomicfile.Write(out, 0o666, write, faultinject.PersistWrite, faultinject.PersistRename, out)
+	}
+	if err != nil {
 		return 0, err
 	}
-	n, m := src.Dims()
-	rd := src.Reader()
-	defer rd.Release()
-	row := mat.NewDense(1, m)
-	pred := row.Row(0)
-	rec := make([]string, m)
-	for i := 0; i < n; i++ {
-		mat.Mul(row, mat.NewDenseData(1, u.Cols(), u.Row(i)), v)
-		x, cols := rd.Row(i)
-		for _, j := range cols {
-			pred[j] = x[j]
-		}
-		nz.Invert(row)
-		for j, val := range pred {
-			if math.IsNaN(val) || math.IsInf(val, 0) {
-				return 0, fmt.Errorf("row %d, column %s: the answer is not finite: an observed value is too extreme for the model", i, columns[j])
-			}
-			rec[j] = strconv.FormatFloat(val, 'g', -1, 64)
-		}
-		if err := cw.Write(rec); err != nil {
-			return 0, err
-		}
-	}
-	cw.Flush()
-	return n*m - src.NumObserved(), cw.Error()
+	return n*m - src.NumObserved(), nil
 }
 
 func saveArtifact(path string, model *core.Model, nz *dataset.Normalizer) error {

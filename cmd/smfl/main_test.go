@@ -223,6 +223,113 @@ func TestRunFoldinRefusesNonFiniteAnswer(t *testing.T) {
 		if strings.Contains(stdout.String(), "NaN") || strings.Contains(stdout.String(), "Inf") {
 			t.Fatalf("%s index: foldin wrote a non-finite value: %q", index, stdout.String())
 		}
+
+		// A refused -out, named directly or through a symlink, leaves the
+		// previous file as it was and no temp file behind.
+		outDir := t.TempDir()
+		out, link := filepath.Join(outDir, "out.csv"), filepath.Join(outDir, "link.csv")
+		prev := []byte("previous,answer\n")
+		if err := os.WriteFile(out, prev, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Symlink("out.csv", link); err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{out, link} {
+			if err := run(context.Background(), []string{"foldin", "-model", modelPath, "-in", far, "-out", path}, &stdout, &stderr); err == nil {
+				t.Fatalf("%s index: foldin -out %s of a far SI row succeeded", index, filepath.Base(path))
+			}
+			if got := mustRead(t, out); !bytes.Equal(got, prev) {
+				t.Fatalf("%s index: refused foldin -out %s changed out.csv to %q", index, filepath.Base(path), got)
+			}
+			if ents, err := os.ReadDir(outDir); err != nil || len(ents) != 2 {
+				t.Fatalf("%s index: refused foldin -out %s left %v in the output directory (%v)", index, filepath.Base(path), ents, err)
+			}
+		}
+	}
+}
+
+// TestOutFollowsSymlink: an -out that is a symlink gets the table written to
+// its target, a dangling one too, and stays a symlink.
+func TestOutFollowsSymlink(t *testing.T) {
+	in := writeTempCSV(t, true)
+	args := []string{"impute", "-in", in, "-k", "3", "-maxiter", "20"}
+	want := runOK(t, args...)
+	dir := t.TempDir()
+	target, link := filepath.Join(dir, "target.csv"), filepath.Join(dir, "link.csv")
+	if err := os.Symlink("target.csv", link); err != nil {
+		t.Skip(err)
+	}
+	for _, prev := range []string{"stale\n", ""} {
+		if prev != "" {
+			if err := os.WriteFile(target, []byte(prev), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := os.Remove(target); err != nil {
+			t.Fatal(err)
+		}
+		runOK(t, append(args, "-out", link)...)
+		if fi, err := os.Lstat(link); err != nil || fi.Mode()&os.ModeSymlink == 0 {
+			t.Fatalf("target %q: -out replaced the symlink (%v)", prev, err)
+		}
+		if got := mustRead(t, target); !bytes.Equal(got, want) {
+			t.Fatalf("target %q: the symlink's target holds %d bytes, not the %d of the table", prev, len(got), len(want))
+		}
+	}
+}
+
+// TestFoldinDefaultsToCoreUpdates: foldin without -maxiter runs
+// Model.FoldIn's default of 100 updates per row, as smfld does, not a fit's
+// 500-iteration cap.
+func TestFoldinDefaultsToCoreUpdates(t *testing.T) {
+	in := writeSparseCSV(t)
+	modelPath := filepath.Join(t.TempDir(), "model.smfl")
+	runOK(t, "impute", "-in", in, "-k", "3", "-maxiter", "40", "-savemodel", modelPath)
+	got := runOK(t, "foldin", "-model", modelPath, "-in", in)
+	if want := runOK(t, "foldin", "-model", modelPath, "-in", in, "-maxiter", "100"); !bytes.Equal(got, want) {
+		t.Fatal("foldin without -maxiter differs from -maxiter 100")
+	}
+}
+
+// TestResumeFinishedRun: -resume of a run that reached its iteration cap,
+// without -maxiter, keeps the checkpoint's cap and writes the finished run's
+// output; and the model it saves folds in like the finished fit's, Placer
+// included under the landmark index.
+func TestResumeFinishedRun(t *testing.T) {
+	in := writeSparseCSV(t)
+	tab, err := readTable(in, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, index := range []string{"exact", "landmark"} {
+		dir := t.TempDir()
+		ckpt := filepath.Join(dir, "fit.ckpt")
+		fitModel, resumedModel := filepath.Join(dir, "fit.smfl"), filepath.Join(dir, "resumed.smfl")
+		flags := []string{"impute", "-in", in, "-k", "3", "-tol", "1e-12", "-spatial-index", index, "-checkpoint", ckpt}
+		fit := runOK(t, append(flags, "-maxiter", "60", "-savemodel", fitModel)...)
+		resumed := runOK(t, append(flags, "-resume", "-savemodel", resumedModel)...)
+		if !bytes.Equal(fit, resumed) {
+			t.Fatalf("%s index: resuming the finished run wrote other bytes than the run", index)
+		}
+
+		var folds [2]*mat.Dense
+		for i, path := range []string{fitModel, resumedModel} {
+			model, err := core.LoadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (model.Placer != nil) != (index == "landmark") {
+				t.Fatalf("%s index: %s has Placer %v", index, filepath.Base(path), model.Placer != nil)
+			}
+			if folds[i], err = model.FoldIn(tab.x, tab.mask, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for j, v := range folds[0].Data() {
+			if w := folds[1].Data()[j]; math.Float64bits(v) != math.Float64bits(w) {
+				t.Fatalf("%s index: fold-in coefficient %d is %v from the fit's model, %v from the resumed one", index, j, v, w)
+			}
+		}
 	}
 }
 

@@ -38,8 +38,10 @@ import (
 	"strings"
 	"time"
 
+	"github.com/spatialmf/smfl/internal/atomicfile"
 	"github.com/spatialmf/smfl/internal/core"
 	"github.com/spatialmf/smfl/internal/dataset"
+	"github.com/spatialmf/smfl/internal/faultinject"
 	"github.com/spatialmf/smfl/internal/landmark"
 	"github.com/spatialmf/smfl/internal/mat"
 	"github.com/spatialmf/smfl/internal/spatial"
@@ -259,7 +261,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		_, err = stdout.Write(enc)
 		return err
 	}
-	return os.WriteFile(*out, enc, 0o644)
+	return atomicfile.Write(*out, 0o644, func(w io.Writer) error {
+		_, err := w.Write(enc)
+		return err
+	}, faultinject.PersistWrite, faultinject.PersistRename, *out)
 }
 
 // benchGraph times the three p-NN graph backends over n clustered 2-D

@@ -111,7 +111,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	addr := fs.String("addr", ":8080", "listen address")
 	maxBatch := fs.Int("maxbatch", 256, "a batch takes no more requests once it holds this many rows")
 	queue := fs.Int("queue", 1024, "per-model pending request cap")
-	iters := fs.Int("iters", 100, "fold-in iteration cap per batch")
+	iters := fs.Int("iters", 100, "fold-in updates per row")
 	grace := fs.Duration("grace", 10*time.Second, "graceful shutdown deadline")
 	keep := fs.Int("keep-versions", 3, "model versions retained per name for ?version= pinning and rollback")
 	admitMax := fs.Int64("admit-max-cost", 65536, "admission window ceiling in observed cells")

@@ -93,7 +93,7 @@ func (tr *trainer) writeCheckpoint(model *Model) error {
 	}
 	write := func(w io.Writer) error { return gob.NewEncoder(w).Encode(&wire) }
 	fault := &PersistFault{Path: tr.ckptPath}
-	if err := atomicfile.Write(tr.ckptPath, write, faultinject.PersistWrite, faultinject.PersistRename, fault); err != nil {
+	if err := atomicfile.Write(tr.ckptPath, 0o600, write, faultinject.PersistWrite, faultinject.PersistRename, fault); err != nil {
 		return fmt.Errorf("core: checkpoint %s: %w", tr.ckptPath, err)
 	}
 	return nil
@@ -194,8 +194,8 @@ type ResumeOptions struct {
 // must be the exact training inputs (verified against the checkpoint's
 // hash), the spatial graph is rebuilt deterministically from them, and the
 // factors, objective history, and watchdog RNG state are restored from the
-// checkpoint. A checkpoint of a converged (or iteration-capped) run returns
-// immediately unless opts raises MaxIter.
+// checkpoint. A checkpoint of a converged (or iteration-capped) run trains no
+// further unless opts raises MaxIter.
 func ResumeFit(path string, x *mat.Dense, omega *mat.Mask, opts *ResumeOptions) (*Model, error) {
 	return resume(path, &input{x: x, omega: omega}, opts)
 }
@@ -247,15 +247,23 @@ func resume(path string, in *input, opts *ResumeOptions) (*Model, error) {
 	}
 
 	model.Partial = false
-	if model.Converged || model.Iters >= cfg.MaxIter {
+	done := model.Converged || model.Iters >= cfg.MaxIter
+	if done && cfg.SpatialIndex != SpatialLandmark {
 		return model, nil
-	}
-	if dense {
-		in.rx = in.omega.Project(nil, in.x)
 	}
 	_, graph, ix, err := buildSpatial(in.src, model.L, model.Method, cfg)
 	if err != nil {
 		return nil, err
+	}
+	if done {
+		// The checkpoint was written before train attached the Placer.
+		if ix != nil {
+			model.Placer = ix.NewPlacer(model.U)
+		}
+		return model, nil
+	}
+	if dense {
+		in.rx = in.omega.Project(nil, in.x)
 	}
 	return train(model, resumedTrainer(ck, model.Method, cfg), in, graph, ix)
 }

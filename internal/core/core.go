@@ -232,11 +232,6 @@ type Config struct {
 	// the fitted model gains a Placer for O(L) fold-in warm starts.
 	SpatialIndex SpatialIndex
 
-	// FoldInTol is the per-row relative objective-change tolerance that
-	// freezes a converged row in batched FoldIn (default 1e-8, the value
-	// previously hardcoded).
-	FoldInTol float64
-
 	// Ctx, when non-nil, makes Fit/ResumeFit/FoldIn cancellable: on
 	// cancellation or deadline the call stops at the next iteration boundary
 	// and returns the best-so-far result together with an error wrapping
@@ -289,9 +284,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LearningRate == 0 { //lint:ignore floatcmp zero config value means unset
 		c.LearningRate = 1e-3
-	}
-	if c.FoldInTol == 0 { //lint:ignore floatcmp zero config value means unset
-		c.FoldInTol = 1e-8
 	}
 	if c.BatchCells == 0 {
 		c.BatchCells = 32768

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"github.com/spatialmf/smfl/internal/faultinject"
@@ -23,11 +22,10 @@ import (
 // no edges in the training graph, so the Laplacian terms vanish).
 // rows is R×M in the same normalized units as the training matrix; omega
 // marks its observed entries (nil = fully observed); every row needs at
-// least one observed cell. It returns the R×K coefficient block. Rows
-// freeze individually once their relative objective change drops below
-// Config.FoldInTol; Config.Ctx, when set, cancels the batch at an iteration
-// boundary, returning the coefficients computed so far with an error
-// wrapping ErrInterrupted.
+// least one observed cell. It returns the R×K coefficient block after iters
+// updates of every row (100 when iters ≤ 0). Config.Ctx, when set, cancels
+// the batch at an iteration boundary, returning the coefficients computed
+// so far with an error wrapping ErrInterrupted.
 //
 // FoldIn only reads the receiver (V, Config) and allocates all scratch
 // locally, so concurrent calls against one Model are safe — audited together
@@ -81,27 +79,13 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 			m.Placer.WarmStart(u.Row(i), rows, omega, i)
 		}
 	}
-	tol := m.Config.FoldInTol
-	if tol <= 0 {
-		tol = 1e-8 // unset, as in a Model not built by Fit: the Config default
-	}
-
 	// Each row's trajectory is independent of the rest of the batch: the
-	// update touches only u_i and the convergence test is per-row, so a row
-	// that has converged freezes while the stragglers keep iterating (and a
-	// single-row FoldIn reproduces row 0 of a batched call exactly). The
-	// masked update and objective are fused — only observed dot products
-	// against Vᵀ are evaluated, never the dense u·V product.
+	// update touches only u_i, so a single-row FoldIn reproduces row i of a
+	// batched call exactly. The masked update is fused: only observed dot
+	// products against Vᵀ are evaluated, never the dense u·V product.
 	vt := m.V.T() // cols×k: contiguous rows for the per-entry dot products
 	vtd := vt.Data()
-	active := make([]bool, r)
-	prev := make([]float64, r)
-	for i := range active {
-		active[i] = true
-		prev[i] = math.Inf(1)
-	}
-	remaining := r
-	for it := 0; it < iters && remaining > 0; it++ {
+	for it := 0; it < iters; it++ {
 		if ctx := m.Config.Ctx; ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return u, fmt.Errorf("%w after %d fold-in iterations: %w", ErrInterrupted, it, err)
@@ -112,13 +96,10 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 				return u, fmt.Errorf("core: fold-in iteration %d: %w", it, err)
 			}
 		}
-		mat.ParallelRange(r, 3*remaining*cols*k, func(lo, hi int) {
+		mat.ParallelRange(r, 3*r*cols*k, func(lo, hi int) {
 			num := make([]float64, k)
 			den := make([]float64, k)
 			for i := lo; i < hi; i++ {
-				if !active[i] {
-					continue
-				}
 				ui := u.Row(i)
 				xi := rx.Row(i)
 				for t := 0; t < k; t++ {
@@ -152,39 +133,8 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 				for t, uval := range ui {
 					ui[t] = uval * num[t] / (den[t] + eps)
 				}
-				var obj float64
-				for j := 0; j < cols; j++ {
-					if !omega.Observed(i, j) {
-						continue
-					}
-					vtj := vtd[j*k : (j+1)*k]
-					var p0, p1, p2, p3 float64
-					t := 0
-					for ; t+4 <= k; t += 4 {
-						p0 += ui[t] * vtj[t]
-						p1 += ui[t+1] * vtj[t+1]
-						p2 += ui[t+2] * vtj[t+2]
-						p3 += ui[t+3] * vtj[t+3]
-					}
-					p := (p0 + p2) + (p1 + p3)
-					for ; t < k; t++ {
-						p += ui[t] * vtj[t]
-					}
-					d := xi[j] - p
-					obj += d * d
-				}
-				if !math.IsInf(prev[i], 1) && math.Abs(prev[i]-obj) <= tol*math.Max(prev[i], 1e-12) {
-					active[i] = false
-				}
-				prev[i] = obj
 			}
 		})
-		remaining = 0
-		for _, a := range active {
-			if a {
-				remaining++
-			}
-		}
 	}
 	return u, nil
 }

@@ -51,7 +51,8 @@ type modelWire struct {
 // matrix (a training-time input, not fitted state), Ctx, and CheckpointPath
 // (a checkpoint already knows where it lives). Save writes the fixed solver
 // constants into KMeansMaxIter, KMeansRestarts, Eps, WatchdogRetries,
-// WatchdogExplode and AnchorEvery; Load ignores them.
+// WatchdogExplode and AnchorEvery, and 1e-8, the retired fold-in early-stop
+// tolerance, into FoldInTol; Load ignores them.
 type configWire struct {
 	K              int
 	Lambda         float64
@@ -107,7 +108,7 @@ func (m *Model) Save(w io.Writer) error {
 			Tol: cfg.Tol, Seed: cfg.Seed, KMeansMaxIter: kmeansMaxIter,
 			KMeansRestarts: kmeansRestarts, LearningRate: cfg.LearningRate,
 			Eps: eps, Updater: cfg.Updater, LandmarkSource: cfg.LandmarkSource,
-			FoldInTol: cfg.FoldInTol, CheckpointEvery: cfg.CheckpointEvery,
+			FoldInTol: 1e-8, CheckpointEvery: cfg.CheckpointEvery,
 			WatchdogRetries: watchdogRetries, WatchdogExplode: watchdogExplode,
 			SpatialIndex: cfg.SpatialIndex,
 			BatchCells:   cfg.BatchCells, AnchorEvery: anchorEvery,
@@ -174,9 +175,8 @@ func Load(r io.Reader) (*Model, error) {
 			K: cw.K, Lambda: cw.Lambda, P: cw.P, MaxIter: cw.MaxIter,
 			Tol: cw.Tol, Seed: cw.Seed, LearningRate: cw.LearningRate,
 			Updater: cw.Updater, LandmarkSource: cw.LandmarkSource,
-			FoldInTol: cw.FoldInTol, CheckpointEvery: cw.CheckpointEvery,
-			SpatialIndex: cw.SpatialIndex, BatchCells: cw.BatchCells,
-			GraphMode: cw.GraphMode,
+			CheckpointEvery: cw.CheckpointEvery, SpatialIndex: cw.SpatialIndex,
+			BatchCells: cw.BatchCells, GraphMode: cw.GraphMode,
 		},
 		L: wire.L, U: u, V: v, C: c, Norm: norm,
 		Objective: wire.Objective, Iters: wire.Iters, Converged: wire.Converged,
@@ -278,7 +278,7 @@ func validateLoaded(m *Model) error {
 // place. The faultinject points PersistWrite and PersistRename simulate an
 // I/O error mid-write and a crash before the rename.
 func (m *Model) SaveFile(path string) error {
-	return atomicfile.Write(path, m.Save, faultinject.PersistWrite, faultinject.PersistRename, &PersistFault{Path: path})
+	return atomicfile.Write(path, 0o600, m.Save, faultinject.PersistWrite, faultinject.PersistRename, &PersistFault{Path: path})
 }
 
 // LoadFile reads a model written by SaveFile.

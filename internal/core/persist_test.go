@@ -355,7 +355,6 @@ func TestSaveFileAtomicSurvivesCrash(t *testing.T) {
 func TestWireV3RoundTripsRobustnessFields(t *testing.T) {
 	x, omega, l := testProblem(t, 80, 83)
 	cfg := quickCfg(3)
-	cfg.FoldInTol = 3e-7
 	cfg.CheckpointEvery = 7
 	model, err := Fit(x, omega, l, SMF, cfg)
 	if err != nil {
@@ -375,7 +374,7 @@ func TestWireV3RoundTripsRobustnessFields(t *testing.T) {
 		t.Fatalf("Partial=%v Recoveries=%d after round trip", got.Partial, got.Recoveries)
 	}
 	c := got.Config
-	if c.FoldInTol != 3e-7 || c.CheckpointEvery != 7 {
+	if c.CheckpointEvery != 7 {
 		t.Fatalf("fault-tolerance config lost: %+v", c)
 	}
 }

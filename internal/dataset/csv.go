@@ -37,8 +37,11 @@ func (d *Dataset) SaveCSV(path string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return d.WriteCSV(f)
+	if err := d.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ReadCSV parses a headered numeric CSV into a Dataset with the given name

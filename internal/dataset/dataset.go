@@ -38,12 +38,6 @@ func New(name string, columns []string, l int, x *mat.Dense) (*Dataset, error) {
 // Dims returns the table shape.
 func (d *Dataset) Dims() (n, m int) { return d.X.Dims() }
 
-// SI returns a copy of the spatial-information block (N×L).
-func (d *Dataset) SI() *mat.Dense {
-	n, _ := d.X.Dims()
-	return d.X.Slice(0, n, 0, d.L)
-}
-
 // Clone deep-copies the dataset.
 func (d *Dataset) Clone() *Dataset {
 	cols := make([]string, len(d.Columns))

@@ -32,22 +32,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestSIBlock(t *testing.T) {
-	d := smallDataset(t)
-	si := d.SI()
-	if r, c := si.Dims(); r != 4 || c != 2 {
-		t.Fatalf("SI shape %dx%d", r, c)
-	}
-	if si.At(3, 0) != 1 || si.At(3, 1) != 1 {
-		t.Fatalf("SI = %v", si)
-	}
-	// Copy semantics.
-	si.Set(0, 0, 99)
-	if d.X.At(0, 0) != 0 {
-		t.Fatal("SI should copy")
-	}
-}
-
 func TestCloneAndHead(t *testing.T) {
 	d := smallDataset(t)
 	c := d.Clone()

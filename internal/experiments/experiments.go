@@ -175,13 +175,6 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// String renders the table.
-func (t *Table) String() string {
-	var b strings.Builder
-	t.Fprint(&b)
-	return b.String()
-}
-
 // fmtRMS formats an RMS value in the paper's 3-decimal style.
 func fmtRMS(v float64) string { return fmt.Sprintf("%.3f", v) }
 

@@ -233,8 +233,9 @@ func TestRegistryComplete(t *testing.T) {
 
 func TestTablePrinting(t *testing.T) {
 	tab := &Table{Title: "T", Header: []string{"A", "B"}, Rows: [][]string{{"x", "0.123"}}}
-	s := tab.String()
-	if !strings.Contains(s, "T\n") || !strings.Contains(s, "0.123") {
+	var b strings.Builder
+	tab.Fprint(&b)
+	if s := b.String(); !strings.Contains(s, "T\n") || !strings.Contains(s, "0.123") {
 		t.Fatalf("rendered table = %q", s)
 	}
 }

@@ -52,19 +52,10 @@ func (p *Projection) Forward(lat, lon float64) (x, y float64) {
 	return x, y
 }
 
-// Inverse maps local (x, y) kilometers back to (lat, lon) degrees.
-func (p *Projection) Inverse(x, y float64) (lat, lon float64) {
-	const d = math.Pi / 180
-	lat = p.Lat0 + y/(EarthRadiusKm*d)
-	lon = p.Lon0 + x/(EarthRadiusKm*d*p.cosLat0)
-	return lat, lon
-}
-
 // ProjectSI replaces the first two columns of x — interpreted as latitude
 // and longitude in degrees — with local kilometers, anchored at the centroid
-// of the observed coordinates. It returns the projection so landmark
-// coordinates can be mapped back with Inverse. omega may be nil (fully
-// observed); hidden SI cells are left untouched.
+// of the observed coordinates, and returns the projection. omega may be nil
+// (fully observed); hidden SI cells are left untouched.
 func ProjectSI(x *mat.Dense, omega *mat.Mask) (*Projection, error) {
 	n, m := x.Dims()
 	if m < 2 {

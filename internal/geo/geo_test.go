@@ -40,19 +40,6 @@ func TestHaversineSymmetryProperty(t *testing.T) {
 	}
 }
 
-func TestProjectionRoundTrip(t *testing.T) {
-	p, err := NewProjection(45.3, 130.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lat, lon := 45.315, 130.94
-	x, y := p.Forward(lat, lon)
-	gotLat, gotLon := p.Inverse(x, y)
-	if math.Abs(gotLat-lat) > 1e-10 || math.Abs(gotLon-lon) > 1e-10 {
-		t.Fatalf("round trip (%v,%v) -> (%v,%v)", lat, lon, gotLat, gotLon)
-	}
-}
-
 func TestProjectionMatchesHaversineLocally(t *testing.T) {
 	// Within a ~50 km neighborhood the planar distance must match the
 	// great-circle distance to well under 1%.

@@ -41,7 +41,7 @@ type Config struct {
 
 	MaxBatchRows int             // a batch takes no more requests once it holds this many rows (default 256)
 	QueueDepth   int             // per-model pending-request cap (default 1024)
-	FoldInIters  int             // FoldIn iteration cap per batch (default 100)
+	FoldInIters  int             // fold-in updates per row (0 = core.Model.FoldIn's default, 100)
 	KeepVersions int             // model versions retained per name for rollback/pinning (default 3)
 	Admission    AdmissionConfig // cost-aware admission control (see AdmissionConfig)
 
@@ -56,9 +56,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
-	}
-	if c.FoldInIters <= 0 {
-		c.FoldInIters = 100
 	}
 	if c.KeepVersions <= 0 {
 		c.KeepVersions = 3

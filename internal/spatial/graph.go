@@ -193,9 +193,6 @@ func NewGraphFromNeighbors(nbrs [][]int32) *Graph {
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 
-// Degree returns w_ii for vertex i.
-func (g *Graph) Degree(i int) float64 { return g.deg[i] }
-
 // Neighbors returns the sorted neighbor list of vertex i (read-only).
 func (g *Graph) Neighbors(i int) []int32 { return g.adj[i] }
 

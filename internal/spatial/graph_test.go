@@ -101,7 +101,7 @@ func TestNewGraphFromNeighbors(t *testing.T) {
 			}
 		}
 	}
-	if g.Degree(0) != 2 || g.Degree(1) != 1 || g.Degree(2) != 1 {
+	if g.deg[0] != 2 || g.deg[1] != 1 || g.deg[2] != 1 {
 		t.Fatal("degrees do not match adjacency")
 	}
 }
@@ -144,8 +144,8 @@ func TestKDTreeAndBruteForceAgree(t *testing.T) {
 			t.Fatalf("edge counts differ: %d vs %d", g1.Edges(), g2.Edges())
 		}
 		for i := 0; i < n; i++ {
-			if g1.Degree(i) != g2.Degree(i) {
-				t.Fatalf("degree mismatch at %d: %v vs %v", i, g1.Degree(i), g2.Degree(i))
+			if g1.deg[i] != g2.deg[i] {
+				t.Fatalf("degree mismatch at %d: %v vs %v", i, g1.deg[i], g2.deg[i])
 			}
 		}
 	}
@@ -159,8 +159,8 @@ func TestDegreeMatchesAdjacency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		if g.Degree(i) != float64(len(g.Neighbors(i))) {
-			t.Fatalf("degree %v != |adj| %d at %d", g.Degree(i), len(g.Neighbors(i)), i)
+		if g.deg[i] != float64(len(g.Neighbors(i))) {
+			t.Fatalf("degree %v != |adj| %d at %d", g.deg[i], len(g.Neighbors(i)), i)
 		}
 	}
 }

@@ -89,23 +89,11 @@ type kdFrame struct {
 	d2   float64
 }
 
-// KNN returns the indices of the k nearest points to q, excluding any index
-// equal to exclude (pass -1 to keep all). Results are sorted by increasing
-// distance (ties by index). Fewer than k indices are returned when the tree
-// is small. Allocates a fresh scratch; batch callers should use KNNInto.
-func (t *KDTree) KNN(q []float64, k, exclude int) []int {
-	var s KNNScratch
-	res := t.KNNInto(&s, q, k, exclude)
-	if len(res) == 0 {
-		return nil
-	}
-	out := make([]int, len(res))
-	copy(out, res)
-	return out
-}
-
-// KNNInto is KNN reusing s for all intermediate state. The returned slice
-// is owned by s and valid only until its next use.
+// KNNInto returns the indices of the k nearest points to q, excluding any
+// index equal to exclude (pass -1 to keep all). Results are sorted by
+// increasing distance (ties by index). Fewer than k indices are returned
+// when the tree is small. s holds all intermediate state; the returned
+// slice is owned by s and valid only until its next use.
 func (t *KDTree) KNNInto(s *KNNScratch, q []float64, k, exclude int) []int {
 	if t.root == nil || k <= 0 {
 		return nil

@@ -19,6 +19,12 @@ func randomPoints(rng *rand.Rand, n, dim int) [][]float64 {
 	return pts
 }
 
+// knn is a one-off KNNInto query on a fresh scratch.
+func knn(t *KDTree, q []float64, k, exclude int) []int {
+	var s KNNScratch
+	return t.KNNInto(&s, q, k, exclude)
+}
+
 func TestKNNMatchesBruteForceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	for trial := 0; trial < 40; trial++ {
@@ -28,7 +34,7 @@ func TestKNNMatchesBruteForceProperty(t *testing.T) {
 		pts := randomPoints(rng, n, dim)
 		tree := NewKDTree(pts)
 		for qi := 0; qi < n; qi += 1 + n/8 {
-			got := tree.KNN(pts[qi], k, qi)
+			got := knn(tree, pts[qi], k, qi)
 			want := bruteKNN(pts, pts[qi], k, qi)
 			// Distances must match even if equal-distance ties pick
 			// different indices.
@@ -65,7 +71,7 @@ func approxSliceEqual(a, b []float64, tol float64) bool {
 func TestKNNExcludesSelf(t *testing.T) {
 	pts := [][]float64{{0, 0}, {1, 0}, {0, 1}}
 	tree := NewKDTree(pts)
-	got := tree.KNN(pts[0], 2, 0)
+	got := knn(tree, pts[0], 2, 0)
 	sort.Ints(got)
 	if !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("KNN = %v", got)
@@ -75,7 +81,7 @@ func TestKNNExcludesSelf(t *testing.T) {
 func TestKNNSortedByDistance(t *testing.T) {
 	pts := [][]float64{{0}, {3}, {1}, {10}}
 	tree := NewKDTree(pts)
-	got := tree.KNN([]float64{0}, 3, 0)
+	got := knn(tree, []float64{0}, 3, 0)
 	if !reflect.DeepEqual(got, []int{2, 1, 3}) {
 		t.Fatalf("KNN = %v, want [2 1 3]", got)
 	}
@@ -84,17 +90,17 @@ func TestKNNSortedByDistance(t *testing.T) {
 func TestKNNSmallTree(t *testing.T) {
 	pts := [][]float64{{1, 1}}
 	tree := NewKDTree(pts)
-	if got := tree.KNN(pts[0], 3, 0); len(got) != 0 {
+	if got := knn(tree, pts[0], 3, 0); len(got) != 0 {
 		t.Fatalf("single-point tree with exclusion should return nothing, got %v", got)
 	}
-	if got := tree.KNN([]float64{0, 0}, 3, -1); len(got) != 1 || got[0] != 0 {
+	if got := knn(tree, []float64{0, 0}, 3, -1); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("got %v", got)
 	}
 }
 
 func TestKNNEmptyTree(t *testing.T) {
 	tree := NewKDTree(nil)
-	if got := tree.KNN([]float64{0}, 1, -1); got != nil {
+	if got := knn(tree, []float64{0}, 1, -1); got != nil {
 		t.Fatalf("empty tree KNN = %v", got)
 	}
 }
@@ -102,7 +108,7 @@ func TestKNNEmptyTree(t *testing.T) {
 func TestKNNDuplicatePoints(t *testing.T) {
 	pts := [][]float64{{1, 1}, {1, 1}, {1, 1}, {5, 5}}
 	tree := NewKDTree(pts)
-	got := tree.KNN(pts[0], 2, 0)
+	got := knn(tree, pts[0], 2, 0)
 	for _, j := range got {
 		if j == 0 {
 			t.Fatal("excluded index returned")
@@ -128,6 +134,8 @@ func TestKDTreeMismatchedDimPanics(t *testing.T) {
 	NewKDTree([][]float64{{1, 2}, {3}})
 }
 
+// TestKNNIntoMatchesKNN: a scratch reused across queries answers as a
+// one-off query on a fresh scratch does, and both agree with brute force.
 func TestKNNIntoMatchesKNN(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	pts := make([][]float64, 300)
@@ -139,8 +147,8 @@ func TestKNNIntoMatchesKNN(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		q := pts[rng.Intn(len(pts))]
 		k := 1 + rng.Intn(10)
-		a := tree.KNN(q, k, -1)
-		b := tree.KNNInto(&s, q, k, -1)
+		a := knn(tree, q, k, -1)
+		b := tree.KNNInto(&s, q, k, -1) // s reused across queries
 		if len(a) != len(b) {
 			t.Fatalf("lengths differ: %v vs %v", a, b)
 		}

@@ -117,7 +117,7 @@ func Write(dir string, x *mat.Dense, omega *mat.Mask, opts WriteOptions) error {
 			_, err := w.Write(buf)
 			return err
 		}
-		if err := atomicfile.Write(path, write, faultinject.ShardWrite, faultinject.ShardRename, &ShardFault{Path: path}); err != nil {
+		if err := atomicfile.Write(path, 0o600, write, faultinject.ShardWrite, faultinject.ShardRename, &ShardFault{Path: path}); err != nil {
 			return fmt.Errorf("store: shard %d: %w", s, err)
 		}
 		man.shards = append(man.shards, shardMeta{lo: lo, hi: hi, cells: cells, size: int64(len(buf)), hash: h.Sum64()})
@@ -128,7 +128,7 @@ func Write(dir string, x *mat.Dense, omega *mat.Mask, opts WriteOptions) error {
 		_, err := w.Write(data)
 		return err
 	}
-	if err := atomicfile.Write(path, write, faultinject.ManifestWrite, faultinject.ShardRename, &ShardFault{Path: path}); err != nil {
+	if err := atomicfile.Write(path, 0o600, write, faultinject.ManifestWrite, faultinject.ShardRename, &ShardFault{Path: path}); err != nil {
 		return fmt.Errorf("store: manifest: %w", err)
 	}
 	return nil

@@ -104,6 +104,35 @@ func BenchmarkFitSMFL(b *testing.B) { benchFit(b, core.SMFL, 600, 0.1) }
 func BenchmarkFitSMFLMissing50(b *testing.B) { benchFit(b, core.SMFL, 600, 0.5) }
 func BenchmarkFitSMFLMissing90(b *testing.B) { benchFit(b, core.SMFL, 600, 0.9) }
 
+// BenchmarkFitDense is the fit inside perfbench's fit-dense job: a 10k×7
+// Vehicle table with 20% of its non-SI cells hidden, SMFL at smfl impute's
+// defaults (K = 10, λ = 0.1, p = 3, multiplicative, exact index), 200
+// iterations. ms/iter divides the fit's time by the iterations it ran.
+func BenchmarkFitDense(b *testing.B) {
+	res, err := dataset.Vehicle(0.1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := res.Data.Normalize(); err != nil {
+		b.Fatal(err)
+	}
+	mask, err := dataset.InjectMissing(res.Data, dataset.MissingSpec{Rate: 0.2, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.Config{K: 10, Lambda: 0.1, P: 3, Seed: 1, MaxIter: 200}
+	iters := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		model, err := core.Fit(res.Data.X, mask, res.Data.L, core.SMFL, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		iters += model.Iters
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(iters), "ms/iter")
+}
+
 // --- Kernel micro-benchmarks. ---
 
 func BenchmarkMatMul(b *testing.B) {

@@ -291,6 +291,32 @@ func TestFoldinDefaultsToCoreUpdates(t *testing.T) {
 	}
 }
 
+// TestFoldinRefusesNegativeMaxIter: a negative -maxiter fails foldin with
+// the fit's error instead of running the default 100 updates.
+func TestFoldinRefusesNegativeMaxIter(t *testing.T) {
+	in := writeSparseCSV(t)
+	modelPath := filepath.Join(t.TempDir(), "model.smfl")
+	runOK(t, "impute", "-in", in, "-k", "3", "-maxiter", "20", "-savemodel", modelPath)
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), []string{"foldin", "-model", modelPath, "-in", in, "-maxiter", "-5"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "MaxIter=-5 must be positive") {
+		t.Fatalf("foldin -maxiter -5: err %v, want the negative-cap refusal", err)
+	}
+}
+
+// TestResumeRefusesNegativeMaxIter: a negative -maxiter fails impute
+// -resume with the fit's error instead of keeping the checkpoint's cap.
+func TestResumeRefusesNegativeMaxIter(t *testing.T) {
+	in := writeSparseCSV(t)
+	ckpt := filepath.Join(t.TempDir(), "fit.ckpt")
+	runOK(t, "impute", "-in", in, "-k", "3", "-maxiter", "20", "-checkpoint", ckpt)
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), []string{"impute", "-in", in, "-checkpoint", ckpt, "-resume", "-maxiter", "-5"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "MaxIter=-5 must be positive") {
+		t.Fatalf("impute -resume -maxiter -5: err %v, want the negative-cap refusal", err)
+	}
+}
+
 // TestResumeFinishedRun: -resume of a run that reached its iteration cap,
 // without -maxiter, keeps the checkpoint's cap and writes the finished run's
 // output; and the model it saves folds in like the finished fit's, Placer

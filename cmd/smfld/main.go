@@ -111,7 +111,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	addr := fs.String("addr", ":8080", "listen address")
 	maxBatch := fs.Int("maxbatch", 256, "a batch takes no more requests once it holds this many rows")
 	queue := fs.Int("queue", 1024, "per-model pending request cap")
-	iters := fs.Int("iters", 100, "fold-in updates per row")
+	iters := fs.Int("iters", 100, "fold-in updates per row (0 = 100)")
 	grace := fs.Duration("grace", 10*time.Second, "graceful shutdown deadline")
 	keep := fs.Int("keep-versions", 3, "model versions retained per name for ?version= pinning and rollback")
 	admitMax := fs.Int64("admit-max-cost", 65536, "admission window ceiling in observed cells")
@@ -126,6 +126,9 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	fs.Var(&models, "model", "serve a model as name=path (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *iters < 0 {
+		return fmt.Errorf("-iters %d: fold-in updates per row must not be negative (0 = 100)", *iters)
 	}
 	if len(models) == 0 {
 		return errors.New("at least one -model name=path is required")

@@ -44,6 +44,16 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRefusesNegativeIters: a negative -iters fails startup, before any
+// model loads, instead of failing every request's fold-in.
+func TestRunRefusesNegativeIters(t *testing.T) {
+	var stderr bytes.Buffer
+	err := run(context.Background(), []string{"-iters", "-5", "-model", "m=/nonexistent.smfl"}, &stderr, nil)
+	if err == nil || !strings.Contains(err.Error(), "-iters -5") {
+		t.Fatalf("smfld -iters -5: err %v, want the -iters refusal", err)
+	}
+}
+
 // TestRunServesAndShutsDown boots the daemon on an ephemeral port, imputes
 // through it, and verifies context cancellation (the signal path) shuts it
 // down cleanly.

@@ -13,6 +13,7 @@ import (
 
 	"github.com/spatialmf/smfl/internal/atomicfile"
 	"github.com/spatialmf/smfl/internal/faultinject"
+	"github.com/spatialmf/smfl/internal/landmark"
 	"github.com/spatialmf/smfl/internal/mat"
 )
 
@@ -182,7 +183,8 @@ type ResumeOptions struct {
 	// ran with (it participates in the checkpoint hash), or nil.
 	Weights *mat.Dense
 	// MaxIter, when positive, replaces the checkpointed iteration cap —
-	// the knob for "train a finished run for longer".
+	// the knob for "train a finished run for longer". 0 keeps the cap; a
+	// negative value is refused, as Fit refuses it.
 	MaxIter int
 	// CheckpointEvery, when positive, overrides the cadence of further
 	// checkpoints, which overwrite the file being resumed.
@@ -206,6 +208,11 @@ func ResumeFit(path string, x *mat.Dense, omega *mat.Mask, opts *ResumeOptions) 
 // checks the mask and binds src, which keeps ResumeFit's error order, and
 // binds rx only once the run is known to continue.
 func resume(path string, in *input, opts *ResumeOptions) (*Model, error) {
+	if opts != nil {
+		if err := negativeIters(opts.MaxIter); err != nil {
+			return nil, err
+		}
+	}
 	ck, err := LoadCheckpoint(path)
 	if err != nil {
 		return nil, err
@@ -247,20 +254,21 @@ func resume(path string, in *input, opts *ResumeOptions) (*Model, error) {
 	}
 
 	model.Partial = false
-	done := model.Converged || model.Iters >= cfg.MaxIter
-	if done && cfg.SpatialIndex != SpatialLandmark {
+	if model.Converged || model.Iters >= cfg.MaxIter {
+		// The checkpoint was written before train attached the Placer,
+		// which needs the landmark index but not the p-NN graph.
+		if cfg.SpatialIndex == SpatialLandmark && model.Method != NMF {
+			ix, err := landmark.Build(siFilled(in.src, model.L), landmarkConfig(model.Method, cfg))
+			if err != nil {
+				return nil, err
+			}
+			model.Placer = ix.NewPlacer(model.U)
+		}
 		return model, nil
 	}
 	_, graph, ix, err := buildSpatial(in.src, model.L, model.Method, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if done {
-		// The checkpoint was written before train attached the Placer.
-		if ix != nil {
-			model.Placer = ix.NewPlacer(model.U)
-		}
-		return model, nil
 	}
 	if dense {
 		in.rx = in.omega.Project(nil, in.x)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -40,41 +39,6 @@ func TestFitConcurrentSharedPool(t *testing.T) {
 		}
 		if !mat.EqualApprox(models[w].U, want.U, 0) || !mat.EqualApprox(models[w].V, want.V, 0) {
 			t.Fatalf("concurrent fit %d diverged from the serial fit", w)
-		}
-	}
-}
-
-// TestAtMulColsMaskedMatchesDense checks the fused masked path of atMulCols
-// against the dense accumulation on Ω-supported inputs across densities,
-// including a frozen-column offset.
-func TestAtMulColsMaskedMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for _, density := range []float64{0, 0.3, 0.7, 1.0} {
-		for _, c0 := range []int{0, 2} {
-			n, k, m := 23, 4, 9
-			a := mat.RandomUniform(rng, n, k, 0, 1)
-			omega := mat.NewMask(n, m)
-			for i := 0; i < n; i++ {
-				for j := 0; j < m; j++ {
-					if rng.Float64() < density {
-						omega.Observe(i, j)
-					}
-				}
-			}
-			b := omega.Project(nil, mat.RandomUniform(rng, n, m, 0, 1))
-
-			dense := mat.NewDense(k, m)
-			atMulCols(dense, a, b, c0, nil)
-			masked := mat.NewDense(k, m)
-			atMulCols(masked, a, b, c0, omega)
-			for r := 0; r < k; r++ {
-				for j := c0; j < m; j++ {
-					if d := dense.At(r, j) - masked.At(r, j); d > 1e-12 || d < -1e-12 {
-						t.Fatalf("density %.1f c0=%d: masked atMulCols (%d,%d)=%v, dense %v",
-							density, c0, r, j, masked.At(r, j), dense.At(r, j))
-					}
-				}
-			}
 		}
 	}
 }

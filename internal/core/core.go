@@ -294,6 +294,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// negativeIters refuses a negative iteration cap. Fit, FoldIn and
+// ResumeFit share it; a cap of 0 means each one's default.
+func negativeIters(n int) error {
+	if n < 0 {
+		return fmt.Errorf("core: MaxIter=%d must be positive", n)
+	}
+	return nil
+}
+
 func (c Config) validate(n, m, l int, method Method) error {
 	if c.K < 1 {
 		return errors.New("core: K must be at least 1")
@@ -301,8 +310,8 @@ func (c Config) validate(n, m, l int, method Method) error {
 	if c.K > n {
 		return fmt.Errorf("core: K=%d must be ≤ N=%d", c.K, n)
 	}
-	if c.MaxIter < 0 {
-		return fmt.Errorf("core: MaxIter=%d must be positive", c.MaxIter)
+	if err := negativeIters(c.MaxIter); err != nil {
+		return err
 	}
 	if !(c.Lambda >= 0) || math.IsInf(c.Lambda, 1) {
 		return fmt.Errorf("core: Lambda=%v must be finite and nonnegative", c.Lambda)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"github.com/spatialmf/smfl/internal/faultinject"
 	"github.com/spatialmf/smfl/internal/landmark"
 	"github.com/spatialmf/smfl/internal/mat"
 	"github.com/spatialmf/smfl/internal/spatial"
@@ -123,12 +124,7 @@ func buildSpatial(src mat.RowSource, l int, method Method, cfg Config) (*mat.Den
 		g, err := spatial.BuildGraph(si, cfg.P, cfg.GraphMode)
 		return si, g, nil, err
 	case SpatialLandmark:
-		lcfg := landmark.Config{Seed: cfg.Seed}
-		if method == SMFL && cfg.LandmarkSource == KMeansCenters {
-			// The coreset K-means that derives C needs at least K landmarks.
-			lcfg.MinLandmarks = cfg.K
-		}
-		ix, err := landmark.Build(si, lcfg)
+		ix, err := landmark.Build(si, landmarkConfig(method, cfg))
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -139,6 +135,17 @@ func buildSpatial(src mat.RowSource, l int, method Method, cfg Config) (*mat.Den
 		return si, g, ix, nil
 	}
 	return nil, nil, nil, fmt.Errorf("core: unknown spatial index %d", cfg.SpatialIndex)
+}
+
+// landmarkConfig is the landmark index's configuration for a fit of method
+// under cfg.
+func landmarkConfig(method Method, cfg Config) landmark.Config {
+	lcfg := landmark.Config{Seed: cfg.Seed}
+	if method == SMFL && cfg.LandmarkSource == KMeansCenters {
+		// The coreset K-means that derives C needs at least K landmarks.
+		lcfg.MinLandmarks = cfg.K
+	}
+	return lcfg
 }
 
 // train runs the configured updater from the model's current position (a
@@ -224,161 +231,62 @@ func initFactors(model *Model, n, m int) {
 // restores the last good factors, re-jitters the offender, and retries the
 // same iteration), and periodic atomic checkpoints. When resuming,
 // model.Iters/Objective carry the restored position and the loop continues
-// from there.
+// from there. An iteration is the three passes of sweep.
 func runMultiplicative(model *Model, in *input, graph *spatial.Graph, tr *trainer) error {
 	cfg := model.Config
-	u, v := model.U, model.V
-	x, rx, omega := in.x, in.rx, in.omega
-	n, m := x.Dims()
-	k := cfg.K
 	lam := cfg.Lambda
-	startCol := model.startCol() // landmark columns are frozen
-
-	uv := mat.NewDense(n, m)
-	numU := mat.NewDense(n, k)
-	denU := mat.NewDense(n, k)
-	du := mat.NewDense(n, k)
-	wu := mat.NewDense(n, k)
-	numV := mat.NewDense(k, m)
-	denV := mat.NewDense(k, m)
-
-	// Confidence weighting (extension): fold W into R_Ω(X) once and into
-	// R_Ω(UV) each iteration; with W = 1 this is a no-op.
-	weights := cfg.Weights
-	if weights != nil {
-		rx = mat.Hadamard(nil, rx, weights) // local weighted copy
+	u, v := model.U, model.V
+	n, k := u.Dims()
+	_, m := v.Dims()
+	ud, vd := u.Data(), v.Data()
+	// Confidence weighting (extension): W rides on R_Ω(X) and on the carried
+	// R_Ω(UV); with W = 1 this is a no-op.
+	s := newSweep(model, in, cfg.Weights)
+	var du *mat.Dense // DU, when the spatial term is on
+	var dud []float64
+	if graph != nil && lam > 0 {
+		du = mat.NewDense(n, k)
+		dud = du.Data()
 	}
 
-	// Hoisted out of the iteration loop: the factor backing slices are
-	// stable, so one fetch serves every element update.
-	ud := u.Data()
-	numUD, denUD := numU.Data(), denU.Data()
-
 	return tr.loop(model, func() float64 {
+		s.carry()
+
 		// ---- U step: U ⊙ (R_Ω(X)Vᵀ + λDU) ⊘ (R_Ω(UV)Vᵀ + λWU) ----
-		omega.ProjectMul(uv, u, v)
-		if weights != nil {
-			mat.Hadamard(uv, uv, weights)
+		if du != nil {
+			graph.MulD(du, u) // every row's neighbours, from the old U
 		}
-		omega.MulBTObserved(numU, rx, v)
-		omega.MulBTObserved(denU, uv, v)
-		if graph != nil && lam > 0 {
-			graph.MulD(du, u)
-			graph.MulW(wu, u)
-			mat.AddScaled(numU, numU, lam, du)
-			mat.AddScaled(denU, denU, lam, wu)
-		}
-		mat.ParallelRange(len(ud), 2*len(ud), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				ud[i] *= numUD[i] / (denUD[i] + eps)
+		s.uPass(func(i int, num, den []float64) {
+			ui := ud[i*k : (i+1)*k]
+			if du == nil {
+				for r, ur := range ui {
+					ui[r] = ur * (num[r] / (den[r] + eps))
+				}
+				return
+			}
+			dui := dud[i*k : i*k+k]
+			deg := float64(len(graph.Neighbors(i))) // (WU)_ir = deg_i·U_ir
+			for r, ur := range ui {
+				ui[r] = ur * ((num[r] + lam*dui[r]) / (den[r] + lam*(deg*ur) + eps))
 			}
 		})
 
 		// ---- V step: V ⊙ (UᵀR_Ω(X)) ⊘ (UᵀR_Ω(UV)), landmark columns fixed ----
-		omega.ProjectMul(uv, u, v)
-		if weights != nil {
-			mat.Hadamard(uv, uv, weights)
-		}
-		atMulCols(numV, u, rx, startCol, omega)
-		atMulCols(denV, u, uv, startCol, omega)
-		mat.ParallelRange(m-startCol, 2*k*(m-startCol), func(lo, hi int) {
+		s.vPass(func(lo, hi int, num, den []float64) {
 			for r := 0; r < k; r++ {
-				vr := v.Row(r)
-				nr := numV.Row(r)
-				dr := denV.Row(r)
-				for j := startCol + lo; j < startCol+hi; j++ {
-					vr[j] *= nr[j] / (dr[j] + eps)
+				vr := vd[r*m+lo : r*m+hi]
+				for t := range vr {
+					vr[t] *= num[t*k+r] / (den[t*k+r] + eps)
 				}
 			}
 		})
 
-		// ---- objective (fused: no third N×M matmul) ----
-		var obj float64
-		if weights != nil {
-			obj = omega.MaskedWeightedFrob2Mul(x, u, v, weights)
-		} else {
-			obj = omega.MaskedFrob2Mul(x, u, v)
-		}
-		if graph != nil && lam > 0 {
+		obj := s.objective()
+		if du != nil {
 			obj += lam * graph.QuadForm(u)
 		}
 		return obj
-	}, nil, nil)
-}
-
-// atMulCols stores (aᵀb)[:, c0:] into dst[:, c0:] (columns below c0 are left
-// untouched). Skipping the frozen landmark columns is exactly the reduced
-// computation the paper credits to landmarks (Section IV-E). The work is
-// column-partitioned across the worker pool (like mat.MulAT) so chunks write
-// disjoint dst columns. When omega is sparse and b is supported on Ω (true
-// for both call sites: R_Ω(X) and R_Ω(UV)), only the observed entries of b
-// are visited; both paths accumulate in the same i-ascending order, so they
-// agree bit-for-bit on Ω-supported inputs.
-func atMulCols(dst, a, b *mat.Dense, c0 int, omega *mat.Mask) {
-	n, k := a.Dims()
-	_, m := b.Dims()
-	if m == c0 {
-		return
-	}
-	fused := omega != nil && omega.Density() < mat.DenseCutover
-	ad, bd, dd := a.Data(), b.Data(), dst.Data()
-	mat.ParallelRange(m-c0, n*k*(m-c0), func(lo, hi int) {
-		jlo, jhi := c0+lo, c0+hi
-		for r := 0; r < k; r++ {
-			dr := dd[r*m : (r+1)*m]
-			for j := jlo; j < jhi; j++ {
-				dr[j] = 0
-			}
-		}
-		for i := 0; i < n; i++ {
-			ai := ad[i*k : (i+1)*k]
-			bi := bd[i*m : (i+1)*m]
-			if fused {
-				// Every fused caller passes an Ω-supported b (rx or the
-				// output of ProjectMul), so unobserved entries are exact
-				// zeros and a value test replaces the mask bit test. The
-				// r-outer 4-wide blocks keep the dst writes streaming.
-				r := 0
-				for ; r+4 <= k; r += 4 {
-					a0, a1, a2, a3 := ai[r], ai[r+1], ai[r+2], ai[r+3]
-					d0 := dd[r*m : (r+1)*m]
-					d1 := dd[(r+1)*m : (r+2)*m]
-					d2 := dd[(r+2)*m : (r+3)*m]
-					d3 := dd[(r+3)*m : (r+4)*m]
-					for j := jlo; j < jhi; j++ {
-						bv := bi[j]
-						if bv == 0 { //lint:ignore floatcmp exact-zero sparsity skip
-							continue
-						}
-						d0[j] += a0 * bv
-						d1[j] += a1 * bv
-						d2[j] += a2 * bv
-						d3[j] += a3 * bv
-					}
-				}
-				for ; r < k; r++ {
-					av := ai[r]
-					dr := dd[r*m : (r+1)*m]
-					for j := jlo; j < jhi; j++ {
-						if bv := bi[j]; bv != 0 { //lint:ignore floatcmp exact-zero sparsity skip
-							dr[j] += av * bv
-						}
-					}
-				}
-				continue
-			}
-			for r := 0; r < k; r++ {
-				av := ai[r]
-				if av == 0 { //lint:ignore floatcmp exact-zero sparsity skip
-					continue
-				}
-				dr := dd[r*m : (r+1)*m]
-				for j := jlo; j < jhi; j++ {
-					dr[j] += av * bi[j]
-				}
-			}
-		}
-	})
+	}, s.markStale, nil)
 }
 
 // runGradientDescent iterates the plain projected gradient scheme of
@@ -386,62 +294,394 @@ func atMulCols(dst, a, b *mat.Dense, c0 int, omega *mat.Mask) {
 // which threads in cancellation, checkpoints, and the divergence watchdog;
 // its stepScale shrinks the learning rate on every rollback, so a diverging
 // rate self-heals instead of blowing up to Inf (Zhao et al. observe such
-// divergence is expected behavior for stochastic MF, arXiv:1705.06884).
+// divergence is expected behavior for stochastic MF, arXiv:1705.06884). It
+// runs on the same three passes as runMultiplicative, unweighted.
 func runGradientDescent(model *Model, in *input, graph *spatial.Graph, tr *trainer) error {
 	cfg := model.Config
-	u, v := model.U, model.V
-	x, rx, omega := in.x, in.rx, in.omega
-	n, m := x.Dims()
-	k := cfg.K
 	lam := cfg.Lambda
-	startCol := model.startCol()
-
-	uv := mat.NewDense(n, m)
-	gradU := mat.NewDense(n, k)
-	tmpU := mat.NewDense(n, k)
-	lu := mat.NewDense(n, k)
-	gradV := mat.NewDense(k, m)
-	tmpV := mat.NewDense(k, m)
+	u, v := model.U, model.V
+	n, k := u.Dims()
+	_, m := v.Dims()
+	ud, vd := u.Data(), v.Data()
+	s := newSweep(model, in, nil)
+	var lu *mat.Dense // LU, when the spatial term is on
+	var lud []float64
+	if graph != nil && lam > 0 {
+		lu = mat.NewDense(n, k)
+		lud = lu.Data()
+	}
 
 	return tr.loop(model, func() float64 {
 		lr := cfg.LearningRate * tr.stepScale
-
-		omega.ProjectMul(uv, u, v)
+		s.carry()
 
 		// ∂O/∂U = −2 R_Ω(X)Vᵀ + 2 R_Ω(UV)Vᵀ + 2λLU
-		omega.MulBTObserved(gradU, uv, v)
-		omega.MulBTObserved(tmpU, rx, v)
-		mat.Sub(gradU, gradU, tmpU)
-		if graph != nil && lam > 0 {
+		if lu != nil {
 			graph.MulL(lu, u)
-			mat.AddScaled(gradU, gradU, lam, lu)
 		}
-		mat.AddScaled(u, u, -2*lr, gradU)
-		u.ClampMin(0)
+		step := -2 * lr
+		s.uPass(func(i int, num, den []float64) {
+			ui := ud[i*k : (i+1)*k]
+			var lui []float64
+			if lud != nil {
+				lui = lud[i*k : i*k+k]
+			}
+			for r, ur := range ui {
+				g := den[r] - num[r]
+				if lui != nil {
+					g += lam * lui[r]
+				}
+				ur += step * g
+				if ur < 0 {
+					ur = 0
+				}
+				ui[r] = ur
+			}
+		})
 
 		// ∂O/∂V = −2 UᵀR_Ω(X) + 2 UᵀR_Ω(UV); landmark columns frozen.
-		omega.ProjectMul(uv, u, v)
-		atMulCols(gradV, u, uv, startCol, omega)
-		atMulCols(tmpV, u, rx, startCol, omega)
-		mat.ParallelRange(m-startCol, 4*k*(m-startCol), func(lo, hi int) {
+		s.vPass(func(lo, hi int, num, den []float64) {
 			for r := 0; r < k; r++ {
-				vr := v.Row(r)
-				gr := gradV.Row(r)
-				tr := tmpV.Row(r)
-				for j := startCol + lo; j < startCol+hi; j++ {
-					vr[j] -= 2 * lr * (gr[j] - tr[j])
-					if vr[j] < 0 {
-						vr[j] = 0
+				vr := vd[r*m+lo : r*m+hi]
+				for t := range vr {
+					vr[t] -= 2 * lr * (den[t*k+r] - num[t*k+r])
+					if vr[t] < 0 {
+						vr[t] = 0
 					}
 				}
 			}
 		})
 
-		// Fused objective: no third N×M matmul per iteration.
-		obj := omega.MaskedFrob2Mul(x, u, v)
-		if graph != nil && lam > 0 {
+		obj := s.objective()
+		if lu != nil {
 			obj += lam * graph.QuadForm(u)
 		}
 		return obj
-	}, nil, nil)
+	}, s.markStale, nil)
+}
+
+// sweep runs one iteration of a full-sweep updater (multiplicative or gd)
+// as three fused passes over the resident data:
+//
+//   - the U pass, row by row: the data terms (R_Ω(X)·Vᵀ)_i and (E·Vᵀ)_i,
+//     then the updater's rule for row i;
+//   - the V pass, column by column: UᵀR_Ω(X) and UᵀR_Ω(UV) from one
+//     product U·V over each chunk's own columns, then the updater's rule;
+//   - the objective pass, row by row: Σ_Ω w·(x − UV)², storing
+//     E = R_Ω(UV)⊙W on the way.
+//
+// The objective's U·V is the product the next U pass needs, so E carries it
+// there and an iteration forms U·V twice, not three times. Every sum runs in
+// the order of the standalone kernels (Mul, MulBT, MulBTObserved,
+// ProjectMul, MaskedFrob2Mul), so the factors and objectives are those
+// kernels' bits at any pool width.
+type sweep struct {
+	u, v  *mat.Dense
+	x     *mat.Dense // the data; the objective reads it over Ω
+	rx    *mat.Dense // R_Ω(X)⊙W, the data term of both steps
+	w     *mat.Dense // confidence weights, nil when unweighted
+	e     *mat.Dense // R_Ω(UV)⊙W as of the last objective pass
+	stale bool       // e does not hold the current factors' product
+
+	ptr  []int   // Ω in CSR form: row i observes the columns
+	cols []int32 // cols[ptr[i]:ptr[i+1]], ascending
+	// dense selects the loop form at or above mat.DenseCutover: full rows
+	// in Mul's and MulBT's order, exact zeros included. Below it the passes
+	// visit observed cells only, in ProjectMul's and MulBTObserved's order.
+	dense    bool
+	startCol int // landmark columns of V below it stay frozen
+}
+
+// newSweep binds a sweep to the model's live factors. w weights the data
+// term and the carried product; nil fits the unweighted objective.
+func newSweep(model *Model, in *input, w *mat.Dense) *sweep {
+	rx := in.rx
+	if w != nil {
+		rx = mat.Hadamard(nil, rx, w) // local weighted copy
+	}
+	n, m := in.x.Dims()
+	ptr, cols := in.omega.RowIndex()
+	return &sweep{
+		u: model.U, v: model.V, x: in.x, rx: rx, w: w,
+		e: mat.NewDense(n, m), stale: true,
+		ptr: ptr, cols: cols,
+		dense:    in.omega.Density() >= mat.DenseCutover,
+		startCol: model.startCol(),
+	}
+}
+
+// markStale is the watchdog's rewind: a rollback (and the re-jitter after
+// it) changes the factors behind e.
+func (s *sweep) markStale() { s.stale = true }
+
+// carry makes e hold R_Ω(UV)⊙W for the current factors before a U pass. A
+// fresh sweep, a resumed one and one after a rollback recompute it, and so
+// does every iteration while fault injection is armed, since a FitIter hook
+// may have changed U or V in place; that pass's objective is discarded.
+func (s *sweep) carry() {
+	if s.stale || faultinject.Enabled() {
+		s.objective()
+	}
+	s.stale = false
+}
+
+// uPass computes, for every row i, num_r = (R_Ω(X)·V_rᵀ)_i and
+// den_r = (E·V_rᵀ)_i, and hands them to update, which rewrites row i of U.
+// Rows are independent, so the pass is row-partitioned; update may read
+// other rows only through state computed before the pass.
+func (s *sweep) uPass(update func(i int, num, den []float64)) {
+	n, m := s.x.Dims()
+	_, k := s.u.Dims()
+	rx, e, vd := s.rx.Data(), s.e.Data(), s.v.Data()
+	work := 2 * len(s.cols) * k
+	if s.dense {
+		work = 2 * n * m * k
+	}
+	mat.ParallelRange(n, work, func(lo, hi int) {
+		num := make([]float64, k)
+		den := make([]float64, k)
+		for i := lo; i < hi; i++ {
+			xi := rx[i*m : i*m+m]
+			ei := e[i*m : i*m+m]
+			if s.dense {
+				// MulBT's dot: four partial sums over the full row.
+				for r := 0; r < k; r++ {
+					vr := vd[r*m : r*m+m]
+					var a0, a1, a2, a3, b0, b1, b2, b3 float64
+					j := 0
+					for ; j+4 <= m; j += 4 {
+						a0 += xi[j] * vr[j]
+						a1 += xi[j+1] * vr[j+1]
+						a2 += xi[j+2] * vr[j+2]
+						a3 += xi[j+3] * vr[j+3]
+						b0 += ei[j] * vr[j]
+						b1 += ei[j+1] * vr[j+1]
+						b2 += ei[j+2] * vr[j+2]
+						b3 += ei[j+3] * vr[j+3]
+					}
+					a, b := (a0+a2)+(a1+a3), (b0+b2)+(b1+b3)
+					for ; j < m; j++ {
+						a += xi[j] * vr[j]
+						b += ei[j] * vr[j]
+					}
+					num[r], den[r] = a, b
+				}
+			} else {
+				// MulBTObserved's dot: one sum over the observed columns.
+				js := s.cols[s.ptr[i]:s.ptr[i+1]]
+				for r := 0; r < k; r++ {
+					vr := vd[r*m : (r+1)*m]
+					var a, b float64
+					for _, j := range js {
+						a += xi[j] * vr[j]
+						b += ei[j] * vr[j]
+					}
+					num[r], den[r] = a, b
+				}
+			}
+			update(i, num, den)
+		}
+	})
+}
+
+// vPass computes UᵀR_Ω(X) and UᵀR_Ω(UV)⊙W over the columns from startCol
+// on (skipping the frozen landmark columns is the reduced computation the
+// paper credits to landmarks, Section IV-E) and hands them to update. The
+// pass is column-partitioned: each chunk walks the rows in ascending order,
+// forms (UV)_ij for its own columns only, and keeps its sums local, so no
+// two workers write neighbouring cells. update(lo, hi, num, den) receives
+// the chunk's columns [lo, hi), the sums of column j at num[(j−lo)·K:] and
+// den[(j−lo)·K:], one per coefficient.
+func (s *sweep) vPass(update func(lo, hi int, num, den []float64)) {
+	n, m := s.x.Dims()
+	_, k := s.u.Dims()
+	c0 := s.startCol
+	if m == c0 {
+		return
+	}
+	ud, vd, rx := s.u.Data(), s.v.Data(), s.rx.Data()
+	var wd []float64
+	if s.w != nil {
+		wd = s.w.Data()
+	}
+	mat.ParallelRange(m-c0, 3*n*k*(m-c0), func(lo, hi int) {
+		lo, hi = c0+lo, c0+hi
+		num := make([]float64, (hi-lo)*k)
+		den := make([]float64, (hi-lo)*k)
+		p := make([]float64, m)
+		for i := 0; i < n; i++ {
+			ui := ud[i*k : i*k+k]
+			xi := rx[i*m+lo : i*m+hi]
+			js := s.cols[s.ptr[i]:s.ptr[i+1]]
+			for len(js) > 0 && int(js[0]) < lo {
+				js = js[1:]
+			}
+			c := 0
+			for c < len(js) && int(js[c]) < hi {
+				c++
+			}
+			js = js[:c]
+			if s.dense {
+				// Mul's product, projected onto Ω and weighted; the sums
+				// run over every column and skip zero coefficients, as the
+				// full-row UᵀB does.
+				ei := p[lo:hi]
+				rowMul(ei, ui, vd, m, lo)
+				c = 0
+				for t := range ei {
+					if c < len(js) && int(js[c]) == lo+t {
+						if wd != nil {
+							ei[t] *= wd[i*m+lo+t]
+						}
+						c++
+					} else {
+						ei[t] = 0
+					}
+				}
+				for t, xv := range xi {
+					ev := ei[t]
+					nt, dt := num[t*k : t*k+k][:len(ui)], den[t*k : t*k+k][:len(ui)]
+					for r, a := range ui {
+						if a != 0 { //lint:ignore floatcmp exact-zero sparsity skip
+							nt[r] += a * xv
+							dt[r] += a * ev
+						}
+					}
+				}
+				continue
+			}
+			// ProjectMul's product on the observed columns, weighted; the
+			// sums skip exact-zero data and products, as a walk over the
+			// nonzero entries of an Ω-supported matrix does.
+			rowMulAt(p, ui, vd, m, js)
+			for _, j := range js {
+				t := int(j) - lo
+				xv, ev := xi[t], p[j]
+				if wd != nil {
+					ev *= wd[i*m+int(j)]
+				}
+				if xv != 0 { //lint:ignore floatcmp exact-zero sparsity skip
+					nt := num[t*k : t*k+k][:len(ui)]
+					for r, a := range ui {
+						nt[r] += a * xv
+					}
+				}
+				if ev != 0 { //lint:ignore floatcmp exact-zero sparsity skip
+					dt := den[t*k : t*k+k][:len(ui)]
+					for r, a := range ui {
+						dt[r] += a * ev
+					}
+				}
+			}
+		}
+		update(lo, hi, num, den)
+	})
+}
+
+// objective returns Σ_Ω w·(x − UV)² for the current factors and stores
+// E = R_Ω(UV)⊙W for the next U pass. It reduces over MaskedFrob2Mul's chunk
+// partition (rows, |Ω|·K work), so its bits match that kernel's at every
+// pool width. Unobserved cells of e are never written and stay zero.
+func (s *sweep) objective() float64 {
+	n, m := s.x.Dims()
+	_, k := s.u.Dims()
+	xd, ud, vd, ed := s.x.Data(), s.u.Data(), s.v.Data(), s.e.Data()
+	var wd []float64
+	if s.w != nil {
+		wd = s.w.Data()
+	}
+	return mat.ParallelReduce(n, len(s.cols)*k, func(lo, hi int) float64 {
+		p := make([]float64, m)
+		var sum float64
+		for i := lo; i < hi; i++ {
+			js := s.cols[s.ptr[i]:s.ptr[i+1]]
+			if len(js) == 0 {
+				continue
+			}
+			ui := ud[i*k : (i+1)*k]
+			if s.dense {
+				rowMul(p, ui, vd, m, 0)
+			} else {
+				rowMulAt(p, ui, vd, m, js)
+			}
+			xi, ei := xd[i*m:(i+1)*m], ed[i*m:(i+1)*m]
+			if wd != nil {
+				wi := wd[i*m : (i+1)*m]
+				for _, j := range js {
+					d := xi[j] - p[j]
+					sum += wi[j] * d * d
+					ei[j] = p[j] * wi[j]
+				}
+				continue
+			}
+			for _, j := range js {
+				d := xi[j] - p[j]
+				sum += d * d
+				ei[j] = p[j]
+			}
+		}
+		return sum
+	})
+}
+
+// rowMul stores (u_i·V)_j into p[j−lo] for the columns j in [lo, lo+len(p))
+// in Mul's order: four coefficients at a time, skipping an all-zero block
+// and a zero single coefficient, as Mul does. vd is V's K×m data.
+func rowMul(p, ui, vd []float64, m, lo int) {
+	clear(p)
+	hi := lo + len(p)
+	k := len(ui)
+	t := 0
+	for ; t+4 <= k; t += 4 {
+		a0, a1, a2, a3 := ui[t], ui[t+1], ui[t+2], ui[t+3]
+		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 { //lint:ignore floatcmp exact-zero sparsity skip
+			continue
+		}
+		v0 := vd[t*m+lo : t*m+hi]
+		v1 := vd[(t+1)*m+lo : (t+1)*m+hi][:len(v0)]
+		v2 := vd[(t+2)*m+lo : (t+2)*m+hi][:len(v0)]
+		v3 := vd[(t+3)*m+lo : (t+3)*m+hi][:len(v0)]
+		p := p[:len(v0)]
+		for j, bv := range v0 {
+			p[j] += a0*bv + a1*v1[j] + a2*v2[j] + a3*v3[j]
+		}
+	}
+	for ; t < k; t++ {
+		av := ui[t]
+		if av == 0 { //lint:ignore floatcmp exact-zero sparsity skip
+			continue
+		}
+		vt := vd[t*m+lo : t*m+hi]
+		p := p[:len(vt)]
+		for j, bv := range vt {
+			p[j] += av * bv
+		}
+	}
+}
+
+// rowMulAt stores (u_i·V)_j into p[j] for the columns j in js, in
+// ProjectMul's order: four coefficients at a time, none skipped.
+func rowMulAt(p, ui, vd []float64, m int, js []int32) {
+	for _, j := range js {
+		p[j] = 0
+	}
+	k := len(ui)
+	t := 0
+	for ; t+4 <= k; t += 4 {
+		a0, a1, a2, a3 := ui[t], ui[t+1], ui[t+2], ui[t+3]
+		v0 := vd[t*m : (t+1)*m]
+		v1 := vd[(t+1)*m : (t+2)*m]
+		v2 := vd[(t+2)*m : (t+3)*m]
+		v3 := vd[(t+3)*m : (t+4)*m]
+		for _, j := range js {
+			p[j] += a0*v0[j] + a1*v1[j] + a2*v2[j] + a3*v3[j]
+		}
+	}
+	for ; t < k; t++ {
+		av := ui[t]
+		vt := vd[t*m : (t+1)*m]
+		for _, j := range js {
+			p[j] += av * vt[j]
+		}
+	}
 }

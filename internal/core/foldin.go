@@ -23,7 +23,8 @@ import (
 // rows is R×M in the same normalized units as the training matrix; omega
 // marks its observed entries (nil = fully observed); every row needs at
 // least one observed cell. It returns the R×K coefficient block after iters
-// updates of every row (100 when iters ≤ 0). Config.Ctx, when set, cancels
+// updates of every row (100 when iters is 0; a negative count is refused, as
+// Fit refuses a negative MaxIter). Config.Ctx, when set, cancels
 // the batch at an iteration boundary, returning the coefficients computed
 // so far with an error wrapping ErrInterrupted.
 //
@@ -40,6 +41,9 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 	}
 	if r == 0 {
 		return nil, errors.New("core: FoldIn needs at least one row")
+	}
+	if err := negativeIters(iters); err != nil {
+		return nil, err
 	}
 	if omega == nil {
 		omega = mat.FullMask(r, cols)
@@ -62,7 +66,7 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 	if !rx.IsFinite() || mat.Min(rx) < 0 {
 		return nil, errors.New("core: FoldIn rows must be finite and nonnegative over Ω")
 	}
-	if iters <= 0 {
+	if iters == 0 {
 		iters = 100
 	}
 	k := m.Config.K

@@ -79,6 +79,15 @@ func (m *Mask) rowIdx() *maskIndex {
 	return ix
 }
 
+// RowIndex returns Ω in CSR form: row i's observed columns, ascending, are
+// cols[ptr[i]:ptr[i+1]]. The slices are the mask's cached index, shared and
+// read-only. Observe and Hide make the mask build a new index; they never
+// change slices already handed out.
+func (m *Mask) RowIndex() (ptr []int, cols []int32) {
+	ix := m.rowIdx()
+	return ix.indptr, ix.idx
+}
+
 // ProjectMul stores R_Ω(u·v) into dst (allocated if nil) and returns dst,
 // evaluating only the observed entries instead of materializing the full
 // u·v. The inner kernel runs k-outer and 4-wide over the factor rows,
@@ -205,29 +214,19 @@ func (m *Mask) MaskedFrob2Mul(x, u, v *Dense) float64 {
 	if x.rows != m.rows || x.cols != m.cols {
 		panic(fmt.Sprintf("mat: MaskedFrob2Mul data %dx%d vs mask %dx%d", x.rows, x.cols, m.rows, m.cols))
 	}
-	return maskedFrob2Mul(NewDenseSource(x, m), u, v, nil)
+	return maskedFrob2Mul(NewDenseSource(x, m), u, v)
 }
 
 // MaskedFrob2MulSource is MaskedFrob2Mul over a RowSource. Both run the same
 // kernel with the same chunk partition (same row count, same |Ω|·K work
 // estimate), so equal sources reduce to Float64bits-identical objectives.
 func MaskedFrob2MulSource(src RowSource, u, v *Dense) float64 {
-	return maskedFrob2Mul(src, u, v, nil)
+	return maskedFrob2Mul(src, u, v)
 }
 
-// MaskedWeightedFrob2Mul returns Σ_{(i,j)∈Ω} w_ij (x_ij − (u·v)_ij)², the
-// fused weighted variant of MaskedFrob2Mul.
-func (m *Mask) MaskedWeightedFrob2Mul(x, u, v, w *Dense) float64 {
-	if w.rows != m.rows || w.cols != m.cols {
-		panic(fmt.Sprintf("mat: MaskedWeightedFrob2Mul weights %dx%d vs mask %dx%d", w.rows, w.cols, m.rows, m.cols))
-	}
-	return maskedFrob2Mul(NewDenseSource(x, m), u, v, w)
-}
-
-// maskedFrob2Mul is the kernel behind the three fused objectives: the sum
-// over Ω of w_ij·(x_ij − (u·v)_ij)², with every w_ij = 1 when wts is nil
-// (wts, when given, has the source's shape).
-func maskedFrob2Mul(src RowSource, u, v, wts *Dense) float64 {
+// maskedFrob2Mul is the kernel behind both fused objectives: the sum over Ω
+// of (x_ij − (u·v)_ij)².
+func maskedFrob2Mul(src RowSource, u, v *Dense) float64 {
 	n, cols := src.Dims()
 	if u.rows != n || v.cols != cols || u.cols != v.rows {
 		panic(fmt.Sprintf("mat: MaskedFrob2Mul %dx%d · %dx%d vs source %dx%d",
@@ -237,7 +236,7 @@ func maskedFrob2Mul(src RowSource, u, v, wts *Dense) float64 {
 		return 0
 	}
 	k := u.cols
-	return parallelReduce(n, src.NumObserved()*k, func(lo, hi int) float64 {
+	return ParallelReduce(n, src.NumObserved()*k, func(lo, hi int) float64 {
 		rd := src.Reader()
 		defer rd.Release()
 		pred := make([]float64, cols)
@@ -269,17 +268,9 @@ func maskedFrob2Mul(src RowSource, u, v, wts *Dense) float64 {
 					pred[j] += av * vt[j]
 				}
 			}
-			if wts != nil {
-				wi := wts.data[i*cols : (i+1)*cols]
-				for _, j := range jsr {
-					d := xi[j] - pred[j]
-					s += wi[j] * d * d
-				}
-			} else {
-				for _, j := range jsr {
-					d := xi[j] - pred[j]
-					s += d * d
-				}
+			for _, j := range jsr {
+				d := xi[j] - pred[j]
+				s += d * d
 			}
 		}
 		return s

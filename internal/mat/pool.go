@@ -173,7 +173,7 @@ func ChunksFor(n, totalWork int) int { return chunksFor(n, totalWork) }
 // ParallelChunks runs fn over [0,n) split into exactly nchunks contiguous
 // chunks on the shared pool, passing each chunk's index so callers can
 // accumulate into disjoint per-chunk buffers and combine them in chunk order
-// (the deterministic-reduction pattern of parallelReduce, exposed for
+// (the deterministic-reduction pattern of ParallelReduce, exposed for
 // kernels whose partials are not a single float64). nchunks <= 1 runs fn
 // serially as chunk 0.
 func ParallelChunks(n, nchunks int, fn func(ci, lo, hi int)) {
@@ -184,9 +184,9 @@ func ParallelChunks(n, nchunks int, fn func(ci, lo, hi int)) {
 	parallelChunks(n, nchunks, fn)
 }
 
-// parallelReduce sums fn over [0,n) with per-chunk partials combined in
+// ParallelReduce sums fn over [0,n) with per-chunk partials combined in
 // chunk order, keeping the reduction deterministic for a fixed pool size.
-func parallelReduce(n, totalWork int, fn func(lo, hi int) float64) float64 {
+func ParallelReduce(n, totalWork int, fn func(lo, hi int) float64) float64 {
 	nw := chunksFor(n, totalWork)
 	if nw <= 1 {
 		return fn(0, n)

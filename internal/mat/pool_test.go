@@ -58,7 +58,7 @@ func TestParallelReduceDeterministicAndAccurate(t *testing.T) {
 		serial += vals[i]
 	}
 	sum := func() float64 {
-		return parallelReduce(len(vals), len(vals)*1000, func(lo, hi int) float64 {
+		return ParallelReduce(len(vals), len(vals)*1000, func(lo, hi int) float64 {
 			var s float64
 			for i := lo; i < hi; i++ {
 				s += vals[i]

@@ -389,7 +389,8 @@ type sweep struct {
 	// in Mul's and MulBT's order, exact zeros included. Below it the passes
 	// visit observed cells only, in ProjectMul's and MulBTObserved's order.
 	dense    bool
-	startCol int // landmark columns of V below it stay frozen
+	startCol int          // landmark columns of V below it stay frozen
+	dots     mat.DotPairs // the dense U pass's dots, rebound to V every pass
 }
 
 // newSweep binds a sweep to the model's live factors. w weights the data
@@ -436,6 +437,7 @@ func (s *sweep) uPass(update func(i int, num, den []float64)) {
 	work := 2 * len(s.cols) * k
 	if s.dense {
 		work = 2 * n * m * k
+		s.dots.Reset(s.v)
 	}
 	mat.ParallelRange(n, work, func(lo, hi int) {
 		num := make([]float64, k)
@@ -445,27 +447,7 @@ func (s *sweep) uPass(update func(i int, num, den []float64)) {
 			ei := e[i*m : i*m+m]
 			if s.dense {
 				// MulBT's dot: four partial sums over the full row.
-				for r := 0; r < k; r++ {
-					vr := vd[r*m : r*m+m]
-					var a0, a1, a2, a3, b0, b1, b2, b3 float64
-					j := 0
-					for ; j+4 <= m; j += 4 {
-						a0 += xi[j] * vr[j]
-						a1 += xi[j+1] * vr[j+1]
-						a2 += xi[j+2] * vr[j+2]
-						a3 += xi[j+3] * vr[j+3]
-						b0 += ei[j] * vr[j]
-						b1 += ei[j+1] * vr[j+1]
-						b2 += ei[j+2] * vr[j+2]
-						b3 += ei[j+3] * vr[j+3]
-					}
-					a, b := (a0+a2)+(a1+a3), (b0+b2)+(b1+b3)
-					for ; j < m; j++ {
-						a += xi[j] * vr[j]
-						b += ei[j] * vr[j]
-					}
-					num[r], den[r] = a, b
-				}
+				s.dots.Row(num, den, xi, ei)
 			} else {
 				// MulBTObserved's dot: one sum over the observed columns.
 				js := s.cols[s.ptr[i]:s.ptr[i+1]]
@@ -526,7 +508,7 @@ func (s *sweep) vPass(update func(lo, hi int, num, den []float64)) {
 				// run over every column and skip zero coefficients, as the
 				// full-row UᵀB does.
 				ei := p[lo:hi]
-				rowMul(ei, ui, vd, m, lo)
+				mat.RowMul(ei, ui, vd, m, lo)
 				c = 0
 				for t := range ei {
 					if c < len(js) && int(js[c]) == lo+t {
@@ -538,16 +520,7 @@ func (s *sweep) vPass(update func(lo, hi int, num, den []float64)) {
 						ei[t] = 0
 					}
 				}
-				for t, xv := range xi {
-					ev := ei[t]
-					nt, dt := num[t*k : t*k+k][:len(ui)], den[t*k : t*k+k][:len(ui)]
-					for r, a := range ui {
-						if a != 0 { //lint:ignore floatcmp exact-zero sparsity skip
-							nt[r] += a * xv
-							dt[r] += a * ev
-						}
-					}
-				}
+				mat.AccumPairs(num, den, ui, xi, ei)
 				continue
 			}
 			// ProjectMul's product on the observed columns, weighted; the
@@ -600,7 +573,7 @@ func (s *sweep) objective() float64 {
 			}
 			ui := ud[i*k : (i+1)*k]
 			if s.dense {
-				rowMul(p, ui, vd, m, 0)
+				mat.RowMul(p, ui, vd, m, 0)
 			} else {
 				rowMulAt(p, ui, vd, m, js)
 			}
@@ -622,41 +595,6 @@ func (s *sweep) objective() float64 {
 		}
 		return sum
 	})
-}
-
-// rowMul stores (u_i·V)_j into p[j−lo] for the columns j in [lo, lo+len(p))
-// in Mul's order: four coefficients at a time, skipping an all-zero block
-// and a zero single coefficient, as Mul does. vd is V's K×m data.
-func rowMul(p, ui, vd []float64, m, lo int) {
-	clear(p)
-	hi := lo + len(p)
-	k := len(ui)
-	t := 0
-	for ; t+4 <= k; t += 4 {
-		a0, a1, a2, a3 := ui[t], ui[t+1], ui[t+2], ui[t+3]
-		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 { //lint:ignore floatcmp exact-zero sparsity skip
-			continue
-		}
-		v0 := vd[t*m+lo : t*m+hi]
-		v1 := vd[(t+1)*m+lo : (t+1)*m+hi][:len(v0)]
-		v2 := vd[(t+2)*m+lo : (t+2)*m+hi][:len(v0)]
-		v3 := vd[(t+3)*m+lo : (t+3)*m+hi][:len(v0)]
-		p := p[:len(v0)]
-		for j, bv := range v0 {
-			p[j] += a0*bv + a1*v1[j] + a2*v2[j] + a3*v3[j]
-		}
-	}
-	for ; t < k; t++ {
-		av := ui[t]
-		if av == 0 { //lint:ignore floatcmp exact-zero sparsity skip
-			continue
-		}
-		vt := vd[t*m+lo : t*m+hi]
-		p := p[:len(vt)]
-		for j, bv := range vt {
-			p[j] += av * bv
-		}
-	}
 }
 
 // rowMulAt stores (u_i·V)_j into p[j] for the columns j in js, in

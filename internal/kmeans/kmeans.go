@@ -61,8 +61,11 @@ func Run(x *mat.Dense, cfg Config) (*Result, error) {
 	return best, nil
 }
 
+// runOnce is one Lloyd run from a k-means++ start. It reads the points and
+// centers from their flat row-major data: row i of x is xd[i·dim:(i+1)·dim].
 func runOnce(x *mat.Dense, n, dim, k, maxIter int, rng *rand.Rand) *Result {
 	centers := seedPlusPlus(x, n, dim, k, rng)
+	xd, cd := x.Data(), centers.Data()
 	labels := make([]int, n)
 	counts := make([]int, k)
 	var cost float64
@@ -71,10 +74,10 @@ func runOnce(x *mat.Dense, n, dim, k, maxIter int, rng *rand.Rand) *Result {
 		changed := false
 		cost = 0
 		for i := 0; i < n; i++ {
-			xi := x.Row(i)
+			xi := xd[i*dim : i*dim+dim]
 			bestJ, bestD := 0, math.Inf(1)
 			for j := 0; j < k; j++ {
-				d := sqDist(xi, centers.Row(j))
+				d := sqDist(xi, cd[j*dim:j*dim+dim])
 				if d < bestD {
 					bestD, bestJ = d, j
 				}
@@ -88,27 +91,25 @@ func runOnce(x *mat.Dense, n, dim, k, maxIter int, rng *rand.Rand) *Result {
 		if !changed && iters > 0 {
 			break
 		}
-		// Recompute centers.
-		centers.Zero()
-		for j := range counts {
-			counts[j] = 0
-		}
-		for i := 0; i < n; i++ {
-			c := centers.Row(labels[i])
-			xi := x.Row(i)
-			for d := range xi {
-				c[d] += xi[d]
+		// Recompute centers: each sums its points in ascending row order.
+		clear(cd)
+		clear(counts)
+		for i, j := range labels {
+			c := cd[j*dim : j*dim+dim]
+			for d, v := range xd[i*dim : i*dim+dim] {
+				c[d] += v
 			}
-			counts[labels[i]]++
+			counts[j]++
 		}
-		for j := 0; j < k; j++ {
-			if counts[j] == 0 {
+		for j, cnt := range counts {
+			c := cd[j*dim : j*dim+dim]
+			if cnt == 0 {
 				// Reseed an empty cluster at a random point.
-				copy(centers.Row(j), x.Row(rng.Intn(n)))
+				r := rng.Intn(n)
+				copy(c, xd[r*dim:r*dim+dim])
 				continue
 			}
-			inv := 1 / float64(counts[j])
-			c := centers.Row(j)
+			inv := 1 / float64(cnt)
 			for d := range c {
 				c[d] *= inv
 			}

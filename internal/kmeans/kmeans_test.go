@@ -213,3 +213,106 @@ func TestLloydCostNonIncreasingProperty(t *testing.T) {
 		prev = res.Cost
 	}
 }
+
+// refRunOnce is runOnce as it read before the loop moved to flat data: one
+// Dense.Row call per point, per point–center pair and per center update.
+// TestRunOnceMatchesRowLoop holds the flat loop to its bits.
+func refRunOnce(x *mat.Dense, n, k, maxIter int, rng *rand.Rand) *Result {
+	_, dim := x.Dims()
+	centers := seedPlusPlus(x, n, dim, k, rng)
+	labels := make([]int, n)
+	counts := make([]int, k)
+	var cost float64
+	iters := 0
+	for ; iters < maxIter; iters++ {
+		changed := false
+		cost = 0
+		for i := 0; i < n; i++ {
+			xi := x.Row(i)
+			bestJ, bestD := 0, math.Inf(1)
+			for j := 0; j < k; j++ {
+				d := sqDist(xi, centers.Row(j))
+				if d < bestD {
+					bestD, bestJ = d, j
+				}
+			}
+			if labels[i] != bestJ {
+				labels[i] = bestJ
+				changed = true
+			}
+			cost += bestD
+		}
+		if !changed && iters > 0 {
+			break
+		}
+		centers.Zero()
+		for j := range counts {
+			counts[j] = 0
+		}
+		for i := 0; i < n; i++ {
+			c := centers.Row(labels[i])
+			xi := x.Row(i)
+			for d := range xi {
+				c[d] += xi[d]
+			}
+			counts[labels[i]]++
+		}
+		for j := 0; j < k; j++ {
+			if counts[j] == 0 {
+				copy(centers.Row(j), x.Row(rng.Intn(n)))
+				continue
+			}
+			inv := 1 / float64(counts[j])
+			c := centers.Row(j)
+			for d := range c {
+				c[d] *= inv
+			}
+		}
+	}
+	return &Result{Centers: centers, Labels: labels, Cost: cost, Iters: iters}
+}
+
+func TestRunOnceMatchesRowLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	blobs, _ := threeBlobs(rng, 200)
+	// Six distinct points for K = 10: empty clusters are reseeded.
+	few := mat.NewDense(60, 3)
+	for i := 0; i < 60; i++ {
+		for d := 0; d < 3; d++ {
+			few.Set(i, d, float64((i%6)*(d+1)))
+		}
+	}
+	cases := []struct {
+		name string
+		x    *mat.Dense
+		k    int
+	}{
+		{"blobs", blobs, 10},
+		{"uniform", mat.RandomUniform(rng, 2000, 2, 0, 1), 10},
+		{"few-distinct", few, 10},
+	}
+	for _, tc := range cases {
+		for seed := int64(1); seed <= 3; seed++ {
+			n, dim := tc.x.Dims()
+			want := refRunOnce(tc.x, n, tc.k, DefaultMaxIter, rand.New(rand.NewSource(seed)))
+			got := runOnce(tc.x, n, dim, tc.k, DefaultMaxIter, rand.New(rand.NewSource(seed)))
+			if got.Iters != want.Iters {
+				t.Fatalf("%s seed %d: %d iterations, row loop %d", tc.name, seed, got.Iters, want.Iters)
+			}
+			if math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+				t.Fatalf("%s seed %d: cost %v, row loop %v", tc.name, seed, got.Cost, want.Cost)
+			}
+			for i := range want.Labels {
+				if got.Labels[i] != want.Labels[i] {
+					t.Fatalf("%s seed %d: label %d = %d, row loop %d", tc.name, seed, i, got.Labels[i], want.Labels[i])
+				}
+			}
+			gd, wd := got.Centers.Data(), want.Centers.Data()
+			for i := range wd {
+				if math.Float64bits(gd[i]) != math.Float64bits(wd[i]) {
+					t.Fatalf("%s seed %d: center value %d = %v, row loop %v", tc.name, seed, i, gd[i], wd[i])
+				}
+			}
+		}
+	}
+}

@@ -8,36 +8,8 @@ func Mul(dst, a, b *Dense) *Dense {
 	}
 	dst = mulDst(dst, a.rows, b.cols)
 	mulRange := func(lo, hi int) {
-		// ikj loop order streams b rows for cache friendliness; the k loop
-		// is unrolled 4-wide so each pass over a dst row does four
-		// multiply-adds per load/store of dst.
 		for i := lo; i < hi; i++ {
-			di := dst.data[i*dst.cols : (i+1)*dst.cols]
-			ai := a.data[i*a.cols : (i+1)*a.cols]
-			k := 0
-			for ; k+4 <= len(ai); k += 4 {
-				a0, a1, a2, a3 := ai[k], ai[k+1], ai[k+2], ai[k+3]
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue
-				}
-				b0 := b.data[k*b.cols : (k+1)*b.cols]
-				b1 := b.data[(k+1)*b.cols : (k+2)*b.cols]
-				b2 := b.data[(k+2)*b.cols : (k+3)*b.cols]
-				b3 := b.data[(k+3)*b.cols : (k+4)*b.cols]
-				for j, bv := range b0 {
-					di[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
-				}
-			}
-			for ; k < len(ai); k++ {
-				av := ai[k]
-				if av == 0 {
-					continue
-				}
-				bk := b.data[k*b.cols : (k+1)*b.cols]
-				for j, bv := range bk {
-					di[j] += av * bv
-				}
-			}
+			rowMul(dst.data[i*dst.cols:(i+1)*dst.cols], a.data[i*a.cols:(i+1)*a.cols], b.data, b.cols, 0)
 		}
 	}
 	parallelRows(a.rows, a.cols*b.cols, mulRange)

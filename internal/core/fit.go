@@ -236,29 +236,24 @@ func runMultiplicative(model *Model, in *input, graph *spatial.Graph, tr *traine
 	cfg := model.Config
 	lam := cfg.Lambda
 	u, v := model.U, model.V
-	n, k := u.Dims()
+	_, k := u.Dims()
 	_, m := v.Dims()
 	ud, vd := u.Data(), v.Data()
 	// Confidence weighting (extension): W rides on R_Ω(X) and on the carried
 	// R_Ω(UV); with W = 1 this is a no-op.
-	s := newSweep(model, in, cfg.Weights)
-	var du *mat.Dense // DU, when the spatial term is on
-	var dud []float64
-	if graph != nil && lam > 0 {
-		du = mat.NewDense(n, k)
-		dud = du.Data()
+	s := newSweep(model, in, cfg.Weights, newGraphTerm(graph, lam, u, false))
+	var dud []float64 // DU of the U before the pass, when the spatial term is on
+	if s.term != nil {
+		dud = s.term.gu.Data()
 	}
 
 	return tr.loop(model, func() float64 {
 		s.carry()
 
 		// ---- U step: U ⊙ (R_Ω(X)Vᵀ + λDU) ⊘ (R_Ω(UV)Vᵀ + λWU) ----
-		if du != nil {
-			graph.MulD(du, u) // every row's neighbours, from the old U
-		}
 		s.uPass(func(i int, num, den []float64) {
 			ui := ud[i*k : (i+1)*k]
-			if du == nil {
+			if dud == nil {
 				for r, ur := range ui {
 					ui[r] = ur * (num[r] / (den[r] + eps))
 				}
@@ -270,6 +265,7 @@ func runMultiplicative(model *Model, in *input, graph *spatial.Graph, tr *traine
 				ui[r] = ur * ((num[r] + lam*dui[r]) / (den[r] + lam*(deg*ur) + eps))
 			}
 		})
+		quad := s.term.walk(u) // this objective's Tr(UᵀLU), the next U step's DU
 
 		// ---- V step: V ⊙ (UᵀR_Ω(X)) ⊘ (UᵀR_Ω(UV)), landmark columns fixed ----
 		s.vPass(func(lo, hi int, num, den []float64) {
@@ -282,8 +278,8 @@ func runMultiplicative(model *Model, in *input, graph *spatial.Graph, tr *traine
 		})
 
 		obj := s.objective()
-		if du != nil {
-			obj += lam * graph.QuadForm(u)
+		if s.term != nil {
+			obj += lam * quad
 		}
 		return obj
 	}, s.markStale, nil)
@@ -300,15 +296,13 @@ func runGradientDescent(model *Model, in *input, graph *spatial.Graph, tr *train
 	cfg := model.Config
 	lam := cfg.Lambda
 	u, v := model.U, model.V
-	n, k := u.Dims()
+	_, k := u.Dims()
 	_, m := v.Dims()
 	ud, vd := u.Data(), v.Data()
-	s := newSweep(model, in, nil)
-	var lu *mat.Dense // LU, when the spatial term is on
-	var lud []float64
-	if graph != nil && lam > 0 {
-		lu = mat.NewDense(n, k)
-		lud = lu.Data()
+	s := newSweep(model, in, nil, newGraphTerm(graph, lam, u, true))
+	var lud []float64 // LU of the U before the pass, when the spatial term is on
+	if s.term != nil {
+		lud = s.term.gu.Data()
 	}
 
 	return tr.loop(model, func() float64 {
@@ -316,9 +310,6 @@ func runGradientDescent(model *Model, in *input, graph *spatial.Graph, tr *train
 		s.carry()
 
 		// ∂O/∂U = −2 R_Ω(X)Vᵀ + 2 R_Ω(UV)Vᵀ + 2λLU
-		if lu != nil {
-			graph.MulL(lu, u)
-		}
 		step := -2 * lr
 		s.uPass(func(i int, num, den []float64) {
 			ui := ud[i*k : (i+1)*k]
@@ -338,6 +329,7 @@ func runGradientDescent(model *Model, in *input, graph *spatial.Graph, tr *train
 				ui[r] = ur
 			}
 		})
+		quad := s.term.walk(u) // this objective's Tr(UᵀLU), the next U step's LU
 
 		// ∂O/∂V = −2 UᵀR_Ω(X) + 2 UᵀR_Ω(UV); landmark columns frozen.
 		s.vPass(func(lo, hi int, num, den []float64) {
@@ -353,8 +345,8 @@ func runGradientDescent(model *Model, in *input, graph *spatial.Graph, tr *train
 		})
 
 		obj := s.objective()
-		if lu != nil {
-			obj += lam * graph.QuadForm(u)
+		if s.term != nil {
+			obj += lam * quad
 		}
 		return obj
 	}, s.markStale, nil)
@@ -391,11 +383,12 @@ type sweep struct {
 	dense    bool
 	startCol int          // landmark columns of V below it stay frozen
 	dots     mat.DotPairs // the dense U pass's dots, rebound to V every pass
+	term     *graphTerm   // the spatial term, nil without one; carried as e is
 }
 
 // newSweep binds a sweep to the model's live factors. w weights the data
 // term and the carried product; nil fits the unweighted objective.
-func newSweep(model *Model, in *input, w *mat.Dense) *sweep {
+func newSweep(model *Model, in *input, w *mat.Dense, term *graphTerm) *sweep {
 	rx := in.rx
 	if w != nil {
 		rx = mat.Hadamard(nil, rx, w) // local weighted copy
@@ -408,22 +401,59 @@ func newSweep(model *Model, in *input, w *mat.Dense) *sweep {
 		ptr: ptr, cols: cols,
 		dense:    in.omega.Density() >= mat.DenseCutover,
 		startCol: model.startCol(),
+		term:     term,
 	}
 }
 
 // markStale is the watchdog's rewind: a rollback (and the re-jitter after
-// it) changes the factors behind e.
+// it) changes the factors behind e and the graph term.
 func (s *sweep) markStale() { s.stale = true }
 
-// carry makes e hold R_Ω(UV)⊙W for the current factors before a U pass. A
-// fresh sweep, a resumed one and one after a rollback recompute it, and so
-// does every iteration while fault injection is armed, since a FitIter hook
-// may have changed U or V in place; that pass's objective is discarded.
+// carry makes e hold R_Ω(UV)⊙W, and the graph term G·U, for the current
+// factors before a U pass. A fresh sweep, a resumed one and one after a
+// rollback recompute them, and so does every iteration while fault
+// injection is armed, since a FitIter hook may have changed U or V in
+// place; that objective pass's sum and that walk's Tr(UᵀLU) are discarded.
 func (s *sweep) carry() {
 	if s.stale || faultinject.Enabled() {
 		s.objective()
+		s.term.walk(s.u)
 	}
 	s.stale = false
+}
+
+// graphTerm is the spatial term λ·Tr(UᵀLU) between iterations. gu holds
+// G·U for the U that the last walk read: G is D for the multiplicative
+// rule (Formula 13's λDU) and L = W − D for the gradient updaters. A U step
+// reads gu; the walk after it refreshes gu for the next U step and sums
+// Tr(UᵀLU) for the iteration's objective, since nothing between the two
+// changes U. A nil *graphTerm is a fit without the term (NMF, or λ = 0).
+type graphTerm struct {
+	g         *spatial.Graph
+	gu        *mat.Dense
+	laplacian bool
+}
+
+// newGraphTerm returns the spatial term of a fit of u over graph with
+// weight lam, or nil when the fit has none.
+func newGraphTerm(graph *spatial.Graph, lam float64, u *mat.Dense, laplacian bool) *graphTerm {
+	if graph == nil || !(lam > 0) {
+		return nil
+	}
+	n, k := u.Dims()
+	return &graphTerm{g: graph, gu: mat.NewDense(n, k), laplacian: laplacian}
+}
+
+// walk stores G·u into gu and returns Tr(UᵀLU), from one serial pass over
+// the graph's edges. A nil term does nothing and returns 0.
+func (t *graphTerm) walk(u *mat.Dense) float64 {
+	if t == nil {
+		return 0
+	}
+	if t.laplacian {
+		return t.g.WalkL(t.gu, u)
+	}
+	return t.g.WalkD(t.gu, u)
 }
 
 // uPass computes, for every row i, num_r = (R_Ω(X)·V_rᵀ)_i and

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/spatialmf/smfl/internal/faultinject"
 	"github.com/spatialmf/smfl/internal/mat"
 	"github.com/spatialmf/smfl/internal/spatial"
 )
@@ -43,7 +44,7 @@ import (
 func runStochastic(model *Model, src mat.RowSource, graph *spatial.Graph, tr *trainer) error {
 	cfg := model.Config
 	u, v := model.U, model.V
-	n, m := src.Dims()
+	_, m := src.Dims()
 	k := cfg.K
 	lam := cfg.Lambda
 	startCol := model.startCol()
@@ -52,22 +53,22 @@ func runStochastic(model *Model, src mat.RowSource, graph *spatial.Graph, tr *tr
 	sampler := mat.NewBatchSamplerSource(src, cfg.BatchCells, tr.sample)
 	scratch := mat.NewBatchScratch()
 	gv := mat.NewDense(k, m)
-	var lu *mat.Dense
-	if graph != nil && lam > 0 {
-		lu = mat.NewDense(n, k)
-	}
+	term := newGraphTerm(graph, lam, u, true)
+	stale := true // term.gu does not hold L·U of the current U
 	total := float64(src.NumObserved())
 
 	// Epoch-entry snapshot for the watchdog's rollback path. The factors
 	// themselves are covered by the trainer's goodU/goodV; the sampler
-	// position and anchor age are ours to rewind. Anchor content needs no
-	// snapshot: a refresh below happens before any factor update, so on a
-	// retry the restored factors regenerate the identical anchor.
+	// position and anchor age are ours to rewind, and the carried L·U is
+	// stale. Anchor content needs no snapshot: a refresh below happens
+	// before any factor update, so on a retry the restored factors
+	// regenerate the identical anchor.
 	var preSample uint64
 	var preAge int
 	rewind := func() {
 		sampler.SetState(preSample)
 		tr.anchorAge = preAge
+		stale = true
 	}
 	keep := func() {
 		tr.sample = sampler.State()
@@ -96,10 +97,16 @@ func runStochastic(model *Model, src mat.RowSource, graph *spatial.Graph, tr *tr
 
 		// Spatial pull (SMF/SMFL): one projected step on the λ·Tr(UᵀLU) term
 		// per epoch — evaluating the graph per batch would multiply its
-		// traversal cost by the batch count for no sampling benefit.
-		if lu != nil {
-			graph.MulL(lu, u)
-			mat.AddScaled(u, u, -2*lr*lam, lu)
+		// traversal cost by the batch count for no sampling benefit. L·U
+		// comes from the previous epoch's walk, which read this U. The
+		// first epoch of a fit or resume, one after a rollback, and every
+		// one while fault injection is armed (a FitIter hook may have
+		// changed U) walk again first and discard that walk's Tr(UᵀLU).
+		if term != nil {
+			if stale || faultinject.Enabled() {
+				term.walk(u)
+			}
+			mat.AddScaled(u, u, -2*lr*lam, term.gu)
 			u.ClampMin(0)
 		}
 
@@ -119,10 +126,12 @@ func runStochastic(model *Model, src mat.RowSource, graph *spatial.Graph, tr *tr
 			}
 		}
 
-		// Fused epoch objective, identical to the full-sweep updaters.
+		// Fused epoch objective, identical to the full-sweep updaters; the
+		// walk also leaves L·U for the next epoch's pull.
 		obj := mat.MaskedFrob2MulSource(src, u, v)
-		if graph != nil && lam > 0 {
-			obj += lam * graph.QuadForm(u)
+		if term != nil {
+			obj += lam * term.walk(u)
+			stale = false
 		}
 		return obj
 	}, rewind, keep)

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"github.com/spatialmf/smfl/internal/dataset"
@@ -224,5 +228,101 @@ func TestParseUpdaterRoundTrip(t *testing.T) {
 	}
 	if !SGD.Stochastic() || !SVRG.Stochastic() || Multiplicative.Stochastic() || GradientDescent.Stochastic() {
 		t.Fatal("Stochastic() misclassifies an updater")
+	}
+}
+
+// TestStochasticGraphTermPinned pins the bits of SGD and SVRG fits, which
+// have no standalone-kernel reference to run beside: an FNV-64a hash over
+// the Float64bits of U, V and every objective, at one worker, for both
+// methods with a graph term and both spatial indexes. Each runs plain,
+// with a FitIter hook at epoch 5 (U scaled by 1.01, or a NaN in U that
+// forces a rollback), and at a learning rate that makes the watchdog roll
+// back with no hook armed. The epoch's spatial pull reads L·U carried from
+// the previous epoch's graph walk, so a carry that missed a hook's U or a
+// rollback would change the bits. The hashes are amd64 bits: the arm64
+// compiler fuses multiply-adds.
+func TestStochasticGraphTermPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the pinned hashes are amd64 bits; arm64 fuses multiply-adds")
+	}
+	defer faultinject.Reset()
+	defer mat.SetWorkers(mat.SetWorkers(1))
+	want := map[string]uint64{
+		"sgd/SMF/exact/none":         0x9b9da41df00bba0b,
+		"sgd/SMF/exact/scaleU":       0x76807bf1ca8e4548,
+		"sgd/SMF/exact/nanU":         0x41acd6e520c1e085,
+		"sgd/SMF/exact/diverge":      0x4e11be436bf8a59c,
+		"sgd/SMF/landmark/none":      0x3617934a20b819d2,
+		"sgd/SMF/landmark/scaleU":    0xc5bdff66fc9b28b7,
+		"sgd/SMF/landmark/nanU":      0x254e6c7eabce5168,
+		"sgd/SMF/landmark/diverge":   0x2839a2b4895f35ce,
+		"sgd/SMFL/exact/none":        0x108487db7952de42,
+		"sgd/SMFL/exact/scaleU":      0x00e5b65002e6636d,
+		"sgd/SMFL/exact/nanU":        0x2a6fa5e2807c46fe,
+		"sgd/SMFL/exact/diverge":     0x06607b2c7af323ef,
+		"sgd/SMFL/landmark/none":     0xe3d1547983b991d6,
+		"sgd/SMFL/landmark/scaleU":   0x8adb20aa5baadef6,
+		"sgd/SMFL/landmark/nanU":     0x0c6fca416853e7b9,
+		"sgd/SMFL/landmark/diverge":  0x0e933982c3cb27dc,
+		"svrg/SMF/exact/none":        0x246b6662c36c8368,
+		"svrg/SMF/exact/scaleU":      0x771dafaf9da0c3f5,
+		"svrg/SMF/exact/nanU":        0x5d8dcf5f0ba756e1,
+		"svrg/SMF/exact/diverge":     0xee455bfd38678e47,
+		"svrg/SMF/landmark/none":     0x8ec538ccb0782fef,
+		"svrg/SMF/landmark/scaleU":   0xf3ad963c5a5502ed,
+		"svrg/SMF/landmark/nanU":     0x7faaacb88e6d192c,
+		"svrg/SMF/landmark/diverge":  0xcc100fca9aa998be,
+		"svrg/SMFL/exact/none":       0xeb36f3414f744a67,
+		"svrg/SMFL/exact/scaleU":     0xc353c7c4ea4e2df2,
+		"svrg/SMFL/exact/nanU":       0x5884a7a3bc46daea,
+		"svrg/SMFL/exact/diverge":    0xe8139b2940b1e378,
+		"svrg/SMFL/landmark/none":    0xcc698307ed911fec,
+		"svrg/SMFL/landmark/scaleU":  0x707b016d08dd70c5,
+		"svrg/SMFL/landmark/nanU":    0x31cebbf953bae821,
+		"svrg/SMFL/landmark/diverge": 0xac33bcc9557fbbd3,
+	}
+	x, omega, l := testProblem(t, 120, 16)
+	for _, up := range []Updater{SGD, SVRG} {
+		for _, method := range []Method{SMF, SMFL} {
+			for _, ix := range []SpatialIndex{SpatialExact, SpatialLandmark} {
+				for _, hook := range []string{"none", "scaleU", "nanU", "diverge"} {
+					name := fmt.Sprintf("%s/%s/%s/%s", up, method, ix, hook)
+					t.Run(name, func(t *testing.T) {
+						defer faultinject.Reset()
+						if h := iterHooks[hook]; h != nil {
+							armAt5(h)()
+						}
+						cfg := quickCfg(4)
+						cfg.MaxIter = 12
+						cfg.Tol = 1e-300
+						cfg.Updater = up
+						cfg.LearningRate = 5e-3
+						cfg.BatchCells = 50
+						cfg.SpatialIndex = ix
+						if hook == "diverge" {
+							cfg.LearningRate = 1
+						}
+						model, err := Fit(x, omega, l, method, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if (hook == "nanU" || hook == "diverge") && model.Recoveries == 0 {
+							t.Fatal("no rollback")
+						}
+						h := fnv.New64a()
+						var b [8]byte
+						for _, d := range [][]float64{model.U.Data(), model.V.Data(), model.Objective} {
+							for _, f := range d {
+								binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+								h.Write(b[:])
+							}
+						}
+						if got := h.Sum64(); got != want[name] {
+							t.Errorf("hash %#016x, want %#016x", got, want[name])
+						}
+					})
+				}
+			}
+		}
 	}
 }

@@ -334,42 +334,54 @@ func TestSweepRollbackRefreshesCarry(t *testing.T) {
 	})
 }
 
-// TestSweepStaleCarryRefreshed arms a FitIter hook that changes the factors
-// between iterations: scaling V by 1.01 (finite, so the watchdog stays
-// quiet) and a NaN in U (a rollback and re-jitter). The carried product
-// must follow the hook's factors, or the fused runner leaves the reference.
+// iterHooks change the factors between iterations at the FitIter point:
+// scaling V or U by 1.01 (finite, so the watchdog stays quiet) and a NaN in
+// U (a rollback and re-jitter). Anything a runner carries from one
+// iteration into the next must follow them.
+var iterHooks = map[string]func(*FitFault){
+	"scaleV": func(f *FitFault) { scaleBy(f.V, 1.01) },
+	"scaleU": func(f *FitFault) { scaleBy(f.U, 1.01) },
+	"nanU":   func(f *FitFault) { f.U.Set(3, 1, math.NaN()) },
+}
+
+func scaleBy(a *mat.Dense, s float64) {
+	d := a.Data()
+	for i := range d {
+		d[i] *= s
+	}
+}
+
+// armAt5 returns a function that arms hook to fire on the first visit of
+// iteration 5 only; each run of a fit needs its own arming.
+func armAt5(hook func(*FitFault)) func() {
+	return func() {
+		fired := false
+		faultinject.Enable(faultinject.FitIter, func(p any) error {
+			if f := p.(*FitFault); f.Iter == 5 && !fired {
+				fired = true
+				hook(f)
+			}
+			return nil
+		})
+	}
+}
+
+// TestSweepStaleCarryRefreshed arms each of iterHooks at iteration 5. The
+// carried product and the carried graph term (D·U or L·U) must follow the
+// hook's factors, or the fused runner leaves the reference; only scaleU
+// sees a stale graph term.
 func TestSweepStaleCarryRefreshed(t *testing.T) {
 	defer faultinject.Reset()
-	hooks := map[string]func(*FitFault){
-		"scaleV": func(f *FitFault) {
-			d := f.V.Data()
-			for i := range d {
-				d[i] *= 1.01
-			}
-		},
-		"nanU": func(f *FitFault) { f.U.Set(3, 1, math.NaN()) },
-	}
 	forEachWidth(t, func(t *testing.T) {
 		for _, density := range []float64{0.93, 0.5} {
 			in, l := sweepInput(t, 70, density, 8)
 			for _, up := range []Updater{Multiplicative, GradientDescent} {
-				for name, hook := range hooks {
+				for name, hook := range iterHooks {
 					cfg := Config{K: 5, Lambda: 0.1, P: 3, MaxIter: 15, Tol: 1e-300, Seed: 3,
 						Updater: up, LearningRate: 0.02}.withDefaults()
 					t.Run(fmt.Sprintf("%.2f/%s/%s", in.omega.Density(), up, name), func(t *testing.T) {
-						// Fires on the first visit of iteration 5 in each run.
-						arm := func() {
-							fired := false
-							faultinject.Enable(faultinject.FitIter, func(p any) error {
-								if f := p.(*FitFault); f.Iter == 5 && !fired {
-									fired = true
-									hook(f)
-								}
-								return nil
-							})
-						}
 						defer faultinject.Reset()
-						model := runBoth(t, in, l, SMFL, cfg, arm)
+						model := runBoth(t, in, l, SMFL, cfg, armAt5(hook))
 						if name == "nanU" && model.Recoveries == 0 {
 							t.Fatal("the NaN caused no rollback")
 						}

@@ -1,14 +1,15 @@
 package mat
 
 // The row kernels are the inner loops of the full sweeps' dense passes: one
-// data row (or one coefficient row) at a time against a K×M factor V. Each
-// has a portable Go body, below, and on amd64 hosts with AVX2 a vector body
+// data row (or one coefficient row) at a time against a K×M factor V, and
+// GraphWalk, the spatial term's pass over the p-NN graph. Each has a
+// portable Go body, below, and on amd64 hosts with AVX2 a vector body
 // (rowkernels_amd64.s) that repeats the Go body's arithmetic lane for lane:
-// a separate multiply and add where the Go body has them (never FMA), one
-// lane per independent accumulator of the Go body, and the same exact-zero
-// skips. The two bodies give the same bits; useAVX2, set once from the
-// CPU's feature bits, picks one. Mul, MulBT and the masked kernels stay on
-// their scalar loops.
+// a separate multiply, add or subtract where the Go body has them (never
+// FMA), one lane per independent accumulator of the Go body, and the same
+// exact-zero skips. The two bodies give the same bits; useAVX2, set once
+// from the CPU's feature bits, picks one. Mul, MulBT and the masked kernels
+// stay on their scalar loops.
 
 // RowMul stores (u·V)_{lo+c} into p[c] for every c < len(p), where V is the
 // len(u)×m matrix with data v. The order is Mul's: blocks of four
@@ -156,4 +157,82 @@ func accumPairs(num, den, u, x, e []float64) {
 			}
 		}
 	}
+}
+
+// GraphWalk makes one pass over a graph stored as CSR — row i's neighbours
+// are adj[ptr[i]:ptr[i+1]], ascending, N = len(ptr)−1 — and the N×K matrix
+// u, K = k. For every row i in ascending order it stores the row's
+// neighbour sum over j1 < j2 < … into out's row i:
+//
+//	sum mode:        ((0 + u_j1) + u_j2) + …          (D·U, MulD's bits)
+//	laplacian mode:  ((deg_i·u_i) − u_j1) − u_j2 − …  (L·U, MulL's bits)
+//
+// and, for each neighbour j ≥ i and then each coefficient c in ascending
+// order, adds (u_ic − u_jc)² to one running sum, which it returns:
+// Tr(UᵀLU) with each edge counted once, QuadForm's bits. out must not
+// alias u. It panics unless ptr ascends within [0, len(adj)] and every
+// neighbour lies in [0, N); a row is checked before any of its loads.
+func GraphWalk(out, u []float64, k int, ptr []int, adj []int32, laplacian bool) float64 {
+	n := len(ptr) - 1
+	if n < 0 || k < 0 || len(u) < n*k || len(out) < n*k || ptr[0] < 0 || ptr[0] > len(adj) {
+		panic("mat: GraphWalk shape mismatch")
+	}
+	var s float64
+	var ok bool
+	if useAVX2 && k > 0 {
+		s, ok = graphWalkAVX2(out, u, k, ptr, adj, laplacian)
+	} else {
+		s, ok = graphWalk(out, u, k, ptr, adj, laplacian)
+	}
+	if !ok {
+		panic("mat: GraphWalk neighbour list out of range")
+	}
+	return s
+}
+
+// graphWalk is GraphWalk's portable body. It reports false, having written
+// some rows, at the first row whose neighbour list is out of range.
+func graphWalk(out, u []float64, k int, ptr []int, adj []int32, laplacian bool) (float64, bool) {
+	n := len(ptr) - 1
+	var s float64
+	for i := 0; i < n; i++ {
+		p0, p1 := ptr[i], ptr[i+1]
+		if p1 < p0 || p1 > len(adj) {
+			return s, false
+		}
+		nb := adj[p0:p1]
+		for _, j := range nb {
+			if uint(j) >= uint(n) {
+				return s, false
+			}
+		}
+		ui, oi := u[i*k:i*k+k], out[i*k:i*k+k]
+		if laplacian {
+			deg := float64(len(nb))
+			for c, v := range ui {
+				oi[c] = deg * v
+			}
+		} else {
+			clear(oi)
+		}
+		for _, j := range nb {
+			uj := u[int(j)*k : int(j)*k+k][:len(ui)]
+			if laplacian {
+				for c, v := range uj {
+					oi[c] -= v
+				}
+			} else {
+				for c, v := range uj {
+					oi[c] += v
+				}
+			}
+			if int(j) >= i {
+				for c, v := range ui {
+					d := v - uj[c]
+					s += d * d
+				}
+			}
+		}
+	}
+	return s, true
 }

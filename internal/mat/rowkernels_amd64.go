@@ -35,3 +35,6 @@ func dotPairsAVX2(num, den, x, e, vt []float64)
 
 //go:noescape
 func accumPairsAVX2(num, den, u, x, e []float64)
+
+//go:noescape
+func graphWalkAVX2(out, u []float64, k int, ptr []int, adj []int32, laplacian bool) (s float64, ok bool)

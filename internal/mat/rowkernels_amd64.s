@@ -302,3 +302,271 @@ apcols:
 apdone:
 	VZEROUPPER
 	RET
+
+// func graphWalkAVX2(out, u []float64, k int, ptr []int, adj []int32, laplacian bool) (s float64, ok bool)
+//
+// Rows run in ascending order, R8 pointing at ptr[i+1], DX at u_i and DI
+// at out_i. A row's neighbour list is checked first: ptr[i] ≤ ptr[i+1] ≤
+// len(adj) and every index in [0, N) (compared unsigned, so a negative one
+// fails too); nothing of the row is loaded before that.
+//
+// K ≥ 4: the sums go in panels of sixteen coefficients, one walk of the
+// list per panel with the panel's four groups of four lanes in Y0–Y3. A
+// group that would run past the row's end is moved back to end there, so
+// the groups of a panel start at min(base + 4t, K − 4), t = 0…3: a moved
+// group repeats lanes of the group before it with the same operations, so
+// its stores write the same bits again. A last walk adds the squared
+// differences of the edges j ≥ i to the chain s in X15, lane by lane in
+// coefficient order: the full groups of four, then, where r = K mod 4 ≠ 0,
+// the row's last four coefficients, of which only the top r lanes join.
+//
+// K < 4: the one group is loaded and stored under the mask of its K lanes
+// (Y14), and its first K lanes join the chain.
+TEXT ·graphWalkAVX2(SB), NOSPLIT, $32-121
+	MOVQ out_base+0(FP), DI
+	MOVQ u_base+24(FP), SI
+	MOVQ k+48(FP), R10
+	MOVQ ptr_base+56(FP), R8
+	MOVQ ptr_len+64(FP), AX
+	LEAQ (R8)(AX*8), BX
+	MOVQ BX, pend-8(SP)        // &ptr[N+1]
+	DECQ AX
+	MOVQ AX, n-16(SP)          // N
+	MOVQ adj_base+80(FP), R9
+	MOVQ adj_len+88(FP), AX
+	MOVQ AX, nadj-24(SP)
+	LANEMASK(R10, AX, Y14)
+	SHLQ $3, R10               // a row of U or out, in bytes
+	MOVQ SI, DX                // u_i
+	VXORPD X15, X15, X15       // s
+	MOVQ (R8), R12             // ptr[0], checked by the caller
+	ADDQ $8, R8
+
+gwrows:
+	CMPQ R8, pend-8(SP)
+	JCC  gwdone
+	MOVQ R12, R11              // p0 = ptr[i]
+	MOVQ (R8), R12             // p1 = ptr[i+1]
+	CMPQ R12, R11
+	JLT  gwbad
+	CMPQ R12, nadj-24(SP)
+	JGT  gwbad
+	MOVQ R11, CX
+
+gwcheck:
+	CMPQ CX, R12
+	JGE  gwsums
+	MOVLQSX (R9)(CX*4), AX
+	CMPQ AX, n-16(SP)
+	JCC  gwbad
+	INCQ CX
+	JMP  gwcheck
+
+gwsums:
+	MOVQ R12, AX
+	SUBQ R11, AX
+	VCVTSI2SDQ AX, X13, X13
+	VBROADCASTSD X13, Y13      // deg_i
+	CMPQ R10, $32
+	JLT  gwnarrow
+	XORQ AX, AX                // the panel's first coefficient, bytes
+
+gwpanel:
+	LEAQ -32(R10), R13
+	CMPQ AX, R13
+	CMOVQGT R13, AX            // base = min(base, K − 4)
+	MOVQ AX, base-32(SP)
+	SUBQ AX, R13               // the last group's offset from base
+	MOVQ $32, BX
+	CMPQ BX, R13
+	CMOVQGT R13, BX            // group 1 at min(4, K − 4 − base)
+	MOVQ $96, R11
+	CMPQ R11, R13
+	CMOVQGT R13, R11           // group 3 at min(12, K − 4 − base)
+	MOVQ $64, CX
+	CMPQ R13, CX
+	CMOVQGT CX, R13            // group 2 at min(8, K − 4 − base)
+	LEAQ (DX)(AX*1), CX        // u_i + base
+	ADDQ AX, SI                // u + base, for the neighbours' rows
+	MOVQ -8(R8), AX
+	CMPB laplacian+104(FP), $0
+	JNE  gwplapinit
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ AX, CX
+
+gwpsum:
+	CMPQ CX, R12
+	JGE  gwpstore
+	MOVLQSX (R9)(CX*4), AX
+	IMULQ R10, AX
+	ADDQ SI, AX
+	VADDPD (AX), Y0, Y0        // + u_j
+	VADDPD (AX)(BX*1), Y1, Y1
+	VADDPD (AX)(R13*1), Y2, Y2
+	VADDPD (AX)(R11*1), Y3, Y3
+	INCQ CX
+	JMP  gwpsum
+
+gwplapinit:
+	VMULPD (CX), Y13, Y0       // deg_i·u_i
+	VMULPD (CX)(BX*1), Y13, Y1
+	VMULPD (CX)(R13*1), Y13, Y2
+	VMULPD (CX)(R11*1), Y13, Y3
+	MOVQ AX, CX
+
+gwplap:
+	CMPQ CX, R12
+	JGE  gwpstore
+	MOVLQSX (R9)(CX*4), AX
+	IMULQ R10, AX
+	ADDQ SI, AX
+	VSUBPD (AX), Y0, Y0        // − u_j
+	VSUBPD (AX)(BX*1), Y1, Y1
+	VSUBPD (AX)(R13*1), Y2, Y2
+	VSUBPD (AX)(R11*1), Y3, Y3
+	INCQ CX
+	JMP  gwplap
+
+gwpstore:
+	MOVQ base-32(SP), AX
+	SUBQ AX, SI
+	LEAQ (DI)(AX*1), CX        // out_i + base
+	VMOVUPD Y0, (CX)
+	VMOVUPD Y1, (CX)(BX*1)
+	VMOVUPD Y2, (CX)(R13*1)
+	VMOVUPD Y3, (CX)(R11*1)
+	ADDQ $128, AX
+	CMPQ AX, R10
+	JLT  gwpanel
+
+	MOVQ -8(R8), CX            // p0
+	MOVQ R10, R11
+	ANDQ $-32, R11             // the full groups, bytes
+
+gwqnbr:
+	CMPQ CX, R12
+	JGE  gwnext
+	MOVLQSX (R9)(CX*4), AX
+	INCQ CX
+	IMULQ R10, AX
+	ADDQ SI, AX                // u_j
+	CMPQ AX, DX
+	JCS  gwqnbr                // j < i: row j added the edge
+	XORQ R13, R13
+
+gwqgroup:
+	VMOVUPD (DX)(R13*1), Y1
+	VSUBPD (AX)(R13*1), Y1, Y1 // u_i − u_j
+	VMULPD Y1, Y1, Y1
+	VADDSD X1, X15, X15        // lane 0
+	VPERMILPD $1, X1, X2
+	VADDSD X2, X15, X15        // lane 1
+	VEXTRACTF128 $1, Y1, X3
+	VADDSD X3, X15, X15        // lane 2
+	VPERMILPD $1, X3, X4
+	VADDSD X4, X15, X15        // lane 3
+	ADDQ $32, R13
+	CMPQ R13, R11
+	JLT  gwqgroup
+	CMPQ R11, R10
+	JEQ  gwqnbr                // K mod 4 = 0
+	VMOVUPD -32(DX)(R10*1), Y1 // the row's last four coefficients
+	VSUBPD -32(AX)(R10*1), Y1, Y1
+	VMULPD Y1, Y1, Y1
+	VEXTRACTF128 $1, Y1, X3
+	LEAQ 24(R11), AX
+	CMPQ AX, R10
+	JNE  gwqlane2              // r < 3: lane 1 repeats
+	VPERMILPD $1, X1, X2
+	VADDSD X2, X15, X15        // lane 1
+
+gwqlane2:
+	LEAQ 8(R11), AX
+	CMPQ AX, R10
+	JEQ  gwqlane3              // r = 1: lane 2 repeats
+	VADDSD X3, X15, X15        // lane 2
+
+gwqlane3:
+	VPERMILPD $1, X3, X4
+	VADDSD X4, X15, X15        // lane 3
+	JMP  gwqnbr
+
+gwnarrow:
+	CMPB laplacian+104(FP), $0
+	JNE  gwnlapinit
+	VXORPD Y0, Y0, Y0
+	MOVQ R11, CX
+
+gwnsum:
+	CMPQ CX, R12
+	JGE  gwnstore
+	MOVLQSX (R9)(CX*4), AX
+	IMULQ R10, AX
+	VMASKMOVPD (SI)(AX*1), Y14, Y1
+	VADDPD Y1, Y0, Y0          // + u_j
+	INCQ CX
+	JMP  gwnsum
+
+gwnlapinit:
+	VMASKMOVPD (DX), Y14, Y1
+	VMULPD Y1, Y13, Y0         // deg_i·u_i
+	MOVQ R11, CX
+
+gwnlap:
+	CMPQ CX, R12
+	JGE  gwnstore
+	MOVLQSX (R9)(CX*4), AX
+	IMULQ R10, AX
+	VMASKMOVPD (SI)(AX*1), Y14, Y1
+	VSUBPD Y1, Y0, Y0          // − u_j
+	INCQ CX
+	JMP  gwnlap
+
+gwnstore:
+	VMASKMOVPD Y0, Y14, (DI)
+	VMASKMOVPD (DX), Y14, Y5   // u_i
+	MOVQ R11, CX
+
+gwnqnbr:
+	CMPQ CX, R12
+	JGE  gwnext
+	MOVLQSX (R9)(CX*4), AX
+	INCQ CX
+	IMULQ R10, AX
+	ADDQ SI, AX                // u_j
+	CMPQ AX, DX
+	JCS  gwnqnbr               // j < i
+	VMASKMOVPD (AX), Y14, Y1
+	VSUBPD Y1, Y5, Y1          // u_i − u_j
+	VMULPD Y1, Y1, Y1
+	VADDSD X1, X15, X15        // lane 0
+	CMPQ R10, $16
+	JLT  gwnqnbr
+	VPERMILPD $1, X1, X2
+	VADDSD X2, X15, X15        // lane 1
+	CMPQ R10, $24
+	JLT  gwnqnbr
+	VEXTRACTF128 $1, Y1, X3
+	VADDSD X3, X15, X15        // lane 2
+	JMP  gwnqnbr
+
+gwnext:
+	ADDQ R10, DI
+	ADDQ R10, DX
+	ADDQ $8, R8
+	JMP  gwrows
+
+gwdone:
+	VZEROUPPER
+	MOVSD X15, s+112(FP)
+	MOVB  $1, ok+120(FP)
+	RET
+
+gwbad:
+	VZEROUPPER
+	MOVSD X15, s+112(FP)
+	MOVB  $0, ok+120(FP)
+	RET

@@ -9,13 +9,13 @@ import (
 )
 
 // Graph is the symmetric binary p-NN similarity structure of Formula 3:
-// d_ij = 1 iff x_i ∈ NN_p(x_j) or x_j ∈ NN_p(x_i). Only the adjacency lists
-// and degrees are stored — D is sparse with ≤ 2pN nonzeros.
+// d_ij = 1 iff x_i ∈ NN_p(x_j) or x_j ∈ NN_p(x_i). Only the adjacency lists,
+// in CSR form, and the degrees are stored — D is sparse with ≤ 2pN nonzeros.
 type Graph struct {
-	n     int
-	adj   [][]int32 // sorted neighbor lists, no self loops
-	deg   []float64 // w_ii = Σ_t d_it (Formula 4)
-	edges int       // undirected edge count, fixed at build time
+	n   int
+	ptr []int     // row i's neighbors are adj[ptr[i]:ptr[i+1]]
+	adj []int32   // sorted neighbor lists, no self loops
+	deg []float64 // w_ii = Σ_t d_it (Formula 4)
 }
 
 // BuildMode selects the neighbor-search backend for BuildGraph.
@@ -134,7 +134,7 @@ func NewGraphFromNeighbors(nbrs [][]int32) *Graph {
 			maxRow = r
 		}
 	}
-	g := &Graph{n: n, adj: make([][]int32, n), deg: make([]float64, n)}
+	g := &Graph{n: n, ptr: make([]int, n+1), deg: make([]float64, n)}
 	scratch := make([]int32, maxRow)
 	for i := 0; i < n; i++ {
 		// Sort the own-list run (≤p entries; backlink runs are already
@@ -180,13 +180,13 @@ func NewGraphFromNeighbors(nbrs [][]int32) *Graph {
 				w++
 			}
 		}
-		lst := flat[off[i] : off[i]+w]
-		copy(lst, scratch[:w])
-		g.adj[i] = lst
+		// The merged list moves down to ptr[i] ≤ off[i], over regions
+		// already read, so the rows end up contiguous in flat.
+		g.ptr[i+1] = g.ptr[i] + w
+		copy(flat[g.ptr[i]:g.ptr[i+1]], scratch[:w])
 		g.deg[i] = float64(w)
-		g.edges += w
 	}
-	g.edges /= 2
+	g.adj = flat[:g.ptr[n]]
 	return g
 }
 
@@ -194,14 +194,14 @@ func NewGraphFromNeighbors(nbrs [][]int32) *Graph {
 func (g *Graph) N() int { return g.n }
 
 // Neighbors returns the sorted neighbor list of vertex i (read-only).
-func (g *Graph) Neighbors(i int) []int32 { return g.adj[i] }
+func (g *Graph) Neighbors(i int) []int32 { return g.adj[g.ptr[i]:g.ptr[i+1]] }
 
 // Edges returns the total number of undirected edges.
-func (g *Graph) Edges() int { return g.edges }
+func (g *Graph) Edges() int { return len(g.adj) / 2 }
 
 // Connected reports whether d_ij = 1.
 func (g *Graph) Connected(i, j int) bool {
-	a := g.adj[i]
+	a := g.Neighbors(i)
 	lo, hi := 0, len(a)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -232,7 +232,7 @@ func (g *Graph) MulD(dst, u *mat.Dense) *mat.Dense {
 			for k := range di {
 				di[k] = 0
 			}
-			for _, j := range g.adj[i] {
+			for _, j := range g.Neighbors(i) {
 				uj := ud[int(j)*c : (int(j)+1)*c]
 				for k, v := range uj {
 					di[k] += v
@@ -286,7 +286,7 @@ func (g *Graph) MulL(dst, u *mat.Dense) *mat.Dense {
 			for k, v := range ui {
 				di[k] = d * v
 			}
-			for _, j := range g.adj[i] {
+			for _, j := range g.Neighbors(i) {
 				uj := ud[int(j)*c : (int(j)+1)*c]
 				for k, v := range uj {
 					di[k] -= v
@@ -295,6 +295,24 @@ func (g *Graph) MulL(dst, u *mat.Dense) *mat.Dense {
 		}
 	})
 	return dst
+}
+
+// WalkD stores D·u into dst and returns Tr(UᵀLU), from one serial pass over
+// the edges (mat.GraphWalk): the bits of MulD and of QuadForm. The walk runs
+// on one goroutine, because QuadForm's sum is a single dependent chain.
+// dst must not alias u.
+func (g *Graph) WalkD(dst, u *mat.Dense) float64 { return g.walk(dst, u, false) }
+
+// WalkL stores L·u into dst and returns Tr(UᵀLU), as WalkD does: the bits
+// of MulL and of QuadForm. dst must not alias u.
+func (g *Graph) WalkL(dst, u *mat.Dense) float64 { return g.walk(dst, u, true) }
+
+func (g *Graph) walk(dst, u *mat.Dense, laplacian bool) float64 {
+	r, c := u.Dims()
+	if dr, dc := dst.Dims(); r != g.n || dr != r || dc != c {
+		panic(fmt.Sprintf("spatial: walk of %dx%d into %dx%d, graph has %d rows", r, c, dr, dc, g.n))
+	}
+	return mat.GraphWalk(dst.Data(), u.Data(), c, g.ptr, g.adj, laplacian)
 }
 
 // QuadForm returns Tr(UᵀLU) = ½ Σ_ij d_ij ‖u_i − u_j‖², the spatial
@@ -308,7 +326,7 @@ func (g *Graph) QuadForm(u *mat.Dense) float64 {
 	var s float64
 	for i := 0; i < g.n; i++ {
 		ui := ud[i*c : (i+1)*c]
-		for _, j := range g.adj[i] {
+		for _, j := range g.Neighbors(i) {
 			if int(j) < i {
 				continue // count each undirected edge once
 			}
@@ -326,7 +344,7 @@ func (g *Graph) QuadForm(u *mat.Dense) float64 {
 func (g *Graph) DenseD() *mat.Dense {
 	d := mat.NewDense(g.n, g.n)
 	for i := 0; i < g.n; i++ {
-		for _, j := range g.adj[i] {
+		for _, j := range g.Neighbors(i) {
 			d.Set(i, int(j), 1)
 		}
 	}
@@ -338,7 +356,7 @@ func (g *Graph) DenseL() *mat.Dense {
 	l := mat.NewDense(g.n, g.n)
 	for i := 0; i < g.n; i++ {
 		l.Set(i, i, g.deg[i])
-		for _, j := range g.adj[i] {
+		for _, j := range g.Neighbors(i) {
 			l.Set(i, int(j), -1)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/spatialmf/smfl/internal/dataset"
 	"github.com/spatialmf/smfl/internal/mat"
 )
 
@@ -271,3 +272,52 @@ func TestClusteredGraphStaysLocal(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkGraphTerm times the spatial term's graph work per iteration on
+// the graph of BenchmarkFitDense's table: p = 3 over the SI of the
+// normalized 10k-row Vehicle table (dataset.Vehicle(0.1, 1)), at K = 10.
+// WalkD and WalkL are the one walk a full-sweep iteration runs;
+// MulD+QuadForm and MulL+QuadForm are the two walks each replaces;
+// QuadForm alone is the serial chain of Edges·K dependent adds that any
+// form of the term pays.
+func BenchmarkGraphTerm(b *testing.B) {
+	res, err := dataset.Vehicle(0.1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := res.Data.Normalize(); err != nil {
+		b.Fatal(err)
+	}
+	x, l := res.Data.X, res.Data.L
+	n, _ := x.Dims()
+	si := mat.NewDense(n, l)
+	for i := 0; i < n; i++ {
+		copy(si.Row(i), x.Row(i)[:l])
+	}
+	g, err := BuildGraph(si, 3, KDTreeMode)
+	if err != nil {
+		b.Fatal(err)
+	}
+	u := mat.RandomUniform(rand.New(rand.NewSource(1)), n, 10, 1e-3, 1)
+	dst := mat.NewDense(n, 10)
+	var q float64
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"WalkD", func() { q = g.WalkD(dst, u) }},
+		{"WalkL", func() { q = g.WalkL(dst, u) }},
+		{"MulD+QuadForm", func() { g.MulD(dst, u); q = g.QuadForm(u) }},
+		{"MulL+QuadForm", func() { g.MulL(dst, u); q = g.QuadForm(u) }},
+		{"QuadForm", func() { q = g.QuadForm(u) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.run()
+			}
+		})
+	}
+	benchSink = q
+}
+
+var benchSink float64

@@ -38,7 +38,6 @@ package main
 
 import (
 	"context"
-	"encoding/csv"
 	"errors"
 	"flag"
 	"fmt"
@@ -381,26 +380,26 @@ func readMasked(path string, l int) (*dataset.Dataset, *mat.Mask, error) {
 // out, published through internal/atomicfile only once complete, or streams
 // it to stdout when out is empty, and returns the number of cells it filled.
 // It computes one row at a time and never holds the N×M table: row i
-// of U·V is computed by mat.Mul, the arithmetic of Model.Recover and
-// CompleteRows, src's observed cells replace it, and nz maps it back to
-// original units. The output therefore matches the library's whole-matrix
-// path byte for byte, whichever storage src reads. A NaN or ±Inf answer (an
-// extreme observed value can fold in to one) is an error naming its cell,
-// as smfld answers it with a 422, never a value in the file.
+// of U·V is computed by mat.RowMul, the arithmetic of Mul in Model.Recover
+// and CompleteRows, src's observed cells replace it, nz maps it back to
+// original units, and Dataset.WriteCSV's row writer encodes it. The output
+// therefore matches the library's whole-matrix path byte for byte, whichever
+// storage src reads. A NaN or ±Inf answer (an extreme observed value can
+// fold in to one) is an error naming its cell, as smfld answers it with a
+// 422, never a value in the file.
 func writeCompleted(out string, stdout io.Writer, columns []string, u, v *mat.Dense, src mat.RowSource, nz *dataset.Normalizer) (int, error) {
 	n, m := src.Dims()
 	write := func(w io.Writer) error {
-		cw := csv.NewWriter(w)
-		if err := cw.Write(columns); err != nil {
+		rw, err := dataset.NewRowWriter(w, columns)
+		if err != nil {
 			return err
 		}
 		rd := src.Reader()
 		defer rd.Release()
 		row := mat.NewDense(1, m)
 		pred := row.Row(0)
-		rec := make([]string, m)
 		for i := 0; i < n; i++ {
-			mat.Mul(row, mat.NewDenseData(1, u.Cols(), u.Row(i)), v)
+			mat.RowMul(pred, u.Row(i), v.Data(), m, 0)
 			x, cols := rd.Row(i)
 			for _, j := range cols {
 				pred[j] = x[j]
@@ -410,14 +409,12 @@ func writeCompleted(out string, stdout io.Writer, columns []string, u, v *mat.De
 				if math.IsNaN(val) || math.IsInf(val, 0) {
 					return fmt.Errorf("row %d, column %s: the answer is not finite: an observed value is too extreme for the model", i, columns[j])
 				}
-				rec[j] = strconv.FormatFloat(val, 'g', -1, 64)
 			}
-			if err := cw.Write(rec); err != nil {
+			if err := rw.Write(pred); err != nil {
 				return err
 			}
 		}
-		cw.Flush()
-		return cw.Error()
+		return rw.Flush()
 	}
 	var err error
 	if out == "" {

@@ -414,9 +414,10 @@ type Model struct {
 func (m *Model) Predict() *mat.Dense { return mat.Mul(nil, m.U, m.V) }
 
 // Recover implements Formula 8: observed entries keep x, the rest take the
-// model prediction.
+// model prediction. The observed cells are written into the U·V it forms, so
+// the answer is the only N×M it allocates.
 func (m *Model) Recover(x *mat.Dense, omega *mat.Mask) *mat.Dense {
-	return omega.Recover(x, m.Predict())
+	return omega.RecoverInto(m.Predict(), x)
 }
 
 // FeatureLocations returns the first L columns of V — the spatial positions

@@ -169,6 +169,5 @@ func (m *Model) CompleteRows(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.
 	if err != nil {
 		return nil, err
 	}
-	pred := mat.Mul(nil, u, m.V)
-	return omega.Recover(rows, pred), nil
+	return omega.RecoverInto(mat.Mul(nil, u, m.V), rows), nil
 }

@@ -84,67 +84,102 @@ func NewNormalizer(mins, maxs []float64) (*Normalizer, error) {
 }
 
 // FitNormalizer computes per-column min/max over observed entries only.
-// A nil mask means all entries are observed.
+// A nil mask means all entries are observed. It makes one row-order pass over
+// x's data, reading each row's observed columns from Ω's bits; each column
+// still meets its cells in row order, so the stats are the column-by-column
+// scan's. Of the columns with a non-finite observed value or none observed,
+// the lowest is reported, at its first non-finite row if it has one.
 func FitNormalizer(x *mat.Dense, mask *mat.Mask) (*Normalizer, error) {
 	n, m := x.Dims()
+	if mask != nil {
+		if mr, mc := mask.Dims(); mr != n || mc != m {
+			return nil, fmt.Errorf("dataset: mask is %dx%d, data %dx%d", mr, mc, n, m)
+		}
+	}
 	nz := &Normalizer{Mins: make([]float64, m), Maxs: make([]float64, m)}
-	for j := 0; j < m; j++ {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := 0; i < n; i++ {
-			if mask != nil && !mask.Observed(i, j) {
+	for j := range nz.Mins {
+		nz.Mins[j], nz.Maxs[j] = math.Inf(1), math.Inf(-1)
+	}
+	cols := make([]int32, 0, m)
+	if mask == nil {
+		for j := 0; j < m; j++ {
+			cols = append(cols, int32(j))
+		}
+	}
+	bad, badRow := m, 0 // lowest column holding a non-finite observed value
+	data := x.Data()
+	for i := 0; i < n; i++ {
+		row := data[i*m : i*m+m]
+		if mask != nil {
+			cols = mask.AppendObservedCols(cols[:0], i)
+		}
+		for _, j := range cols {
+			v := row[j]
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				if int(j) < bad {
+					bad, badRow = int(j), i
+				}
 				continue
 			}
-			v := x.At(i, j)
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("dataset: non-finite value at (%d,%d)", i, j)
+			if v < nz.Mins[j] {
+				nz.Mins[j] = v
 			}
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
+			if v > nz.Maxs[j] {
+				nz.Maxs[j] = v
 			}
 		}
-		if math.IsInf(lo, 1) {
+	}
+	for j := 0; j < m; j++ {
+		if j == bad {
+			return nil, fmt.Errorf("dataset: non-finite value at (%d,%d)", badRow, j)
+		}
+		if math.IsInf(nz.Mins[j], 1) {
 			return nil, fmt.Errorf("dataset: column %d has no observed entries", j)
 		}
-		nz.Mins[j], nz.Maxs[j] = lo, hi
 	}
 	return nz, nil
 }
 
-// Apply rescales x in place to [0,1]; constant columns map to 0.5.
+// Apply rescales x in place to [0,1]; constant columns map to 0.5. It walks
+// x's data in row order, with the per-cell arithmetic of a column-by-column
+// pass.
 func (nz *Normalizer) Apply(x *mat.Dense) {
-	n, m := x.Dims()
+	_, m := x.Dims()
 	if m != len(nz.Mins) {
 		panic("dataset: Normalizer column count mismatch")
 	}
-	for j := 0; j < m; j++ {
-		span := nz.Maxs[j] - nz.Mins[j]
-		for i := 0; i < n; i++ {
+	mins, maxs := nz.Mins, nz.Maxs[:m]
+	data := x.Data()
+	for lo := 0; lo < len(data); lo += m {
+		row := data[lo : lo+m]
+		for j, v := range row {
+			span := maxs[j] - mins[j]
 			if span == 0 { //lint:ignore floatcmp degenerate constant-column guard
-				x.Set(i, j, 0.5)
+				row[j] = 0.5
 				continue
 			}
-			x.Set(i, j, (x.At(i, j)-nz.Mins[j])/span)
+			row[j] = (v - mins[j]) / span
 		}
 	}
 }
 
-// Invert maps x back to original units in place.
+// Invert maps x back to original units in place, in row order like Apply.
 func (nz *Normalizer) Invert(x *mat.Dense) {
-	n, m := x.Dims()
+	_, m := x.Dims()
 	if m != len(nz.Mins) {
 		panic("dataset: Normalizer column count mismatch")
 	}
-	for j := 0; j < m; j++ {
-		span := nz.Maxs[j] - nz.Mins[j]
-		for i := 0; i < n; i++ {
+	mins, maxs := nz.Mins, nz.Maxs[:m]
+	data := x.Data()
+	for lo := 0; lo < len(data); lo += m {
+		row := data[lo : lo+m]
+		for j, v := range row {
+			span := maxs[j] - mins[j]
 			if span == 0 { //lint:ignore floatcmp degenerate constant-column guard
-				x.Set(i, j, nz.Mins[j])
+				row[j] = mins[j]
 				continue
 			}
-			x.Set(i, j, x.At(i, j)*span+nz.Mins[j])
+			row[j] = v*span + mins[j]
 		}
 	}
 }

@@ -38,6 +38,25 @@ func NewMask(rows, cols int) *Mask {
 	return &Mask{rows: rows, cols: cols, words: make([]uint64, (n+63)/64)}
 }
 
+// NewMaskWords returns a rows×cols mask that adopts words as its bitset: bit
+// (i*cols+j) set means (i,j) ∈ Ω. words must hold exactly ⌈rows·cols/64⌉
+// words, with every bit past rows·cols clear, and the caller must not write
+// it afterwards. A reader that sets Ω's bits as it parses builds its mask
+// this way without a second copy.
+func NewMaskWords(rows, cols int, words []uint64) *Mask {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("mat: negative mask dimension %dx%d", rows, cols))
+	}
+	n := rows * cols
+	if len(words) != (n+63)/64 {
+		panic(fmt.Sprintf("mat: %d mask words for %dx%d", len(words), rows, cols))
+	}
+	if rem := n % 64; rem != 0 && words[len(words)-1]>>rem != 0 {
+		panic(fmt.Sprintf("mat: mask bits set past %dx%d", rows, cols))
+	}
+	return &Mask{rows: rows, cols: cols, words: words}
+}
+
 // FullMask returns an all-observed mask of the given shape.
 func FullMask(rows, cols int) *Mask {
 	m := NewMask(rows, cols)
@@ -71,14 +90,23 @@ func (m *Mask) Observed(i, j int) bool {
 func (m *Mask) Observe(i, j int) {
 	k := m.idx(i, j)
 	m.words[k>>6] |= 1 << (uint(k) & 63)
-	m.index.Store(nil)
+	m.dropIndex()
 }
 
 // Hide marks (i,j) as unobserved.
 func (m *Mask) Hide(i, j int) {
 	k := m.idx(i, j)
 	m.words[k>>6] &^= 1 << (uint(k) & 63)
-	m.index.Store(nil)
+	m.dropIndex()
+}
+
+// dropIndex discards the cached CSR index, if one was built. With none built
+// it is a plain load: an unconditional atomic store is an XCHG on amd64, and
+// masks built cell by cell (InjectMissing) call Hide once per hidden cell.
+func (m *Mask) dropIndex() {
+	if m.index.Load() != nil {
+		m.index.Store(nil)
+	}
 }
 
 // Count returns |Ω|, the number of observed entries.
@@ -180,20 +208,33 @@ func (m *Mask) Project(dst, x *Dense) *Dense {
 
 // Recover implements Formula 8 of the paper:
 // X̂ = R_Ω(x) + R_Ψ(pred) — observed entries keep x, the rest come from pred.
+// It returns a new matrix; RecoverInto reuses pred's.
 func (m *Mask) Recover(x, pred *Dense) *Dense {
+	return m.RecoverInto(pred.Clone(), x)
+}
+
+// RecoverInto is Recover in place: it overwrites pred's observed entries with
+// x's and returns pred, so a caller that has just formed the prediction needs
+// no second matrix.
+func (m *Mask) RecoverInto(pred, x *Dense) *Dense {
 	if x.rows != m.rows || x.cols != m.cols || pred.rows != m.rows || pred.cols != m.cols {
 		panic("mat: Recover shape mismatch")
 	}
-	out := NewDense(m.rows, m.cols)
 	n := m.rows * m.cols
-	for k := 0; k < n; k++ {
-		if m.words[k>>6]&(1<<(uint(k)&63)) != 0 {
-			out.data[k] = x.data[k]
-		} else {
-			out.data[k] = pred.data[k]
+	for wi, w := range m.words {
+		lo := wi * 64
+		if n-lo < 64 {
+			w &= 1<<uint(n-lo) - 1
+		} else if w == ^uint64(0) {
+			copy(pred.data[lo:lo+64], x.data[lo:lo+64])
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			k := lo + bits.TrailingZeros64(w)
+			pred.data[k] = x.data[k]
 		}
 	}
-	return out
+	return pred
 }
 
 // MaskedFrob2 returns ‖R_Ω(a−b)‖²_F without allocating the difference.

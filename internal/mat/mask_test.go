@@ -150,3 +150,79 @@ func TestMaskIndexPanics(t *testing.T) {
 	defer expectPanic(t, "mask index")
 	m.Observe(2, 0)
 }
+
+func TestNewMaskWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	want := randomMask(rng, 7, 11, 0.5) // 77 bits: a partial last word
+	words := append([]uint64(nil), want.words...)
+	if got := NewMaskWords(7, 11, words); !got.Equal(want) {
+		t.Fatal("adopted words give another mask")
+	}
+	for name, tc := range map[string]struct {
+		r, c  int
+		words []uint64
+	}{
+		"short":         {7, 11, make([]uint64, 1)},
+		"long":          {7, 11, make([]uint64, 3)},
+		"trailing bit":  {7, 11, []uint64{0, 1 << 13}},
+		"negative rows": {-1, 11, nil},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewMaskWords accepted %dx%d with %d words", name, tc.r, tc.c, len(tc.words))
+				}
+			}()
+			NewMaskWords(tc.r, tc.c, tc.words)
+		}()
+	}
+	if m := NewMaskWords(2, 32, []uint64{^uint64(0)}); m.Count() != 64 {
+		t.Fatal("a full last word is not trailing")
+	}
+}
+
+func TestHideAndObserveDropBuiltIndex(t *testing.T) {
+	m := FullMask(3, 4)
+	m.Hide(1, 2) // no index yet: nothing to drop
+	if m.index.Load() != nil {
+		t.Fatal("Hide built an index")
+	}
+	if _, cols := m.RowIndex(); len(cols) != 11 {
+		t.Fatalf("index has %d cells, want 11", len(cols))
+	}
+	m.Hide(0, 0)
+	if ptr, cols := m.RowIndex(); len(cols) != 10 || ptr[1] != 3 {
+		t.Fatalf("index after Hide: ptr %v, %d cells", ptr, len(cols))
+	}
+	m.Observe(1, 2)
+	if ptr, cols := m.RowIndex(); len(cols) != 11 || ptr[2] != 7 {
+		t.Fatalf("index after Observe: ptr %v, %d cells", ptr, len(cols))
+	}
+}
+
+func TestRecoverIntoMatchesCellwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for _, shape := range [][2]int{{1, 1}, {3, 5}, {8, 8}, {9, 15}, {40, 33}} {
+		r, c := shape[0], shape[1]
+		for _, p := range []float64{0, 0.5, 0.97, 1} {
+			m := randomMask(rng, r, c, p)
+			x := RandomNormal(rng, r, c, 0, 1)
+			pred := RandomNormal(rng, r, c, 0, 1)
+			want := NewDense(r, c)
+			for i := 0; i < r; i++ {
+				for j := 0; j < c; j++ {
+					want.Set(i, j, pred.At(i, j))
+					if m.Observed(i, j) {
+						want.Set(i, j, x.At(i, j))
+					}
+				}
+			}
+			if got := m.Recover(x, pred); !EqualApprox(got, want, 0) || got == pred {
+				t.Fatalf("%dx%d p=%v: Recover differs from the cellwise Formula 8", r, c, p)
+			}
+			if got := m.RecoverInto(pred, x); got != pred || !EqualApprox(pred, want, 0) {
+				t.Fatalf("%dx%d p=%v: RecoverInto differs from the cellwise Formula 8", r, c, p)
+			}
+		}
+	}
+}

@@ -22,11 +22,14 @@ func (m *Mask) Density() float64 {
 	return float64(m.Count()) / float64(n)
 }
 
-// appendObservedCols appends the observed column indices of row i to js and
-// returns the extended slice. It walks set bits with TrailingZeros64, so the
-// cost is proportional to the words spanned plus the observed count, not to
-// the row width.
-func (m *Mask) appendObservedCols(js []int32, i int) []int32 {
+// AppendObservedCols appends the observed column indices of row i, ascending,
+// to js and returns the extended slice. It walks set bits with
+// TrailingZeros64, so the cost is proportional to the words spanned plus the
+// observed count, not to the row width.
+func (m *Mask) AppendObservedCols(js []int32, i int) []int32 {
+	if i < 0 || i >= m.rows {
+		panic(fmt.Sprintf("mat: mask row %d out of range %d", i, m.rows))
+	}
 	base := i * m.cols
 	end := base + m.cols
 	for wi := base >> 6; wi<<6 < end; wi++ {
@@ -72,7 +75,7 @@ func (m *Mask) rowIdx() *maskIndex {
 	}
 	for i := 0; i < m.rows; i++ {
 		ix.indptr[i] = len(ix.idx)
-		ix.idx = m.appendObservedCols(ix.idx, i)
+		ix.idx = m.AppendObservedCols(ix.idx, i)
 	}
 	ix.indptr[m.rows] = len(ix.idx)
 	m.index.Store(ix)

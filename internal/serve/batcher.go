@@ -290,6 +290,5 @@ func (b *batcher) compute(ctx context.Context, blocks []*mat.Dense, masks []*mat
 	if err != nil {
 		return nil, nil, err
 	}
-	pred := mat.Mul(nil, u, b.model.V)
-	return mask.Recover(stacked, pred), u, nil
+	return mask.RecoverInto(mat.Mul(nil, u, b.model.V), stacked), u, nil
 }

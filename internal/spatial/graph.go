@@ -181,12 +181,15 @@ func NewGraphFromNeighbors(nbrs [][]int32) *Graph {
 			}
 		}
 		// The merged list moves down to ptr[i] ≤ off[i], over regions
-		// already read, so the rows end up contiguous in flat.
+		// already read, so the rows end up contiguous at the front of flat.
 		g.ptr[i+1] = g.ptr[i] + w
 		copy(flat[g.ptr[i]:g.ptr[i+1]], scratch[:w])
 		g.deg[i] = float64(w)
 	}
-	g.adj = flat[:g.ptr[n]]
+	// Copy the merged rows out: flat has room for all 2·p·N directed
+	// entries, and mutual edges leave much of it unused.
+	g.adj = make([]int32, g.ptr[n])
+	copy(g.adj, flat)
 	return g
 }
 

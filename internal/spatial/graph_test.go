@@ -107,6 +107,22 @@ func TestNewGraphFromNeighbors(t *testing.T) {
 	}
 }
 
+func TestGraphAdjacencyOwnsNoSlack(t *testing.T) {
+	// The merge fills a 2·p·N array; mutual edges dedup to fewer entries,
+	// and the built graph must not keep the unused tail alive.
+	rng := rand.New(rand.NewSource(5))
+	g, err := BuildGraph(mat.RandomNormal(rng, 500, 2, 0, 1), 3, KDTreeMode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if 2*g.Edges() == 2*3*500 {
+		t.Fatal("no mutual edges: the check below proves nothing")
+	}
+	if cap(g.adj) != len(g.adj) {
+		t.Fatalf("adj holds %d entries in an array of %d", len(g.adj), cap(g.adj))
+	}
+}
+
 func TestGraphSymmetryProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	for trial := 0; trial < 15; trial++ {

@@ -143,11 +143,7 @@ func encodeShard(x *mat.Dense, omega *mat.Mask, index, lo, hi int, colScratch []
 	indptr := make([]int, rows+1)
 	allCols := colScratch[:0]
 	for r := 0; r < rows; r++ {
-		for j := 0; j < m; j++ {
-			if omega.Observed(lo+r, j) {
-				allCols = append(allCols, int32(j))
-			}
-		}
+		allCols = omega.AppendObservedCols(allCols, lo+r)
 		indptr[r+1] = len(allCols)
 	}
 	cells := len(allCols)

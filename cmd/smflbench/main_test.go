@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -95,5 +96,47 @@ func TestRunStdoutAndBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-datasets", "Nope", "-rates", "0.1", "-scale", "0.01"}, &stdout, &stderr); err == nil {
 		t.Fatal("unknown dataset accepted")
+	}
+}
+
+// TestRunStochasticAndStoreSweeps runs the two sweeps behind BENCH_fit.json's
+// stochastic and store blocks at a small size. The report must hold the gd
+// baseline with sgd and svrg at every batch size, and the dense row with an
+// mmap row per memory budget whose objective has the dense row's bits, the
+// check the store sweep itself makes before it writes a row.
+func TestRunStochasticAndStoreSweeps(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run([]string{
+		"-datasets", "", "-graph-ns", "",
+		"-stochastic", "-stoch-n", "2000", "-stoch-epochs", "5", "-store", "-store-n", "2000",
+	}, &stdout, &stderr)
+	if err != nil {
+		t.Fatalf("run: %v (stderr: %s)", err, stderr.String())
+	}
+	var rep Report
+	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
+		t.Fatalf("stdout is not valid JSON: %v", err)
+	}
+	updaters := map[string]int{}
+	for _, r := range rep.Stochastic {
+		if r.Rows != 2000 || r.Epochs != 5 || !(r.MsPerEpoch > 0) {
+			t.Fatalf("unexpected stochastic row %+v", r)
+		}
+		updaters[r.Updater]++
+	}
+	if updaters["gd"] != 1 || updaters["sgd"] != 2 || updaters["svrg"] != 2 || len(rep.Stochastic) != 5 {
+		t.Fatalf("stochastic rows by updater %v, want gd 1, sgd 2, svrg 2", updaters)
+	}
+	if len(rep.Store) != 4 || rep.Store[0].Backend != "dense" {
+		t.Fatalf("store rows %+v, want dense then three mmap budgets", rep.Store)
+	}
+	dense := rep.Store[0]
+	for _, r := range rep.Store[1:] {
+		if r.Backend != "mmap" || r.Rows != 2000 || r.Epochs != 5 || r.ShardMaps <= 0 {
+			t.Fatalf("unexpected store row %+v", r)
+		}
+		if math.Float64bits(r.FinalObjective) != math.Float64bits(dense.FinalObjective) {
+			t.Fatalf("mmap objective %v at budget %.2f, dense %v", r.FinalObjective, r.BudgetFraction, dense.FinalObjective)
+		}
 	}
 }

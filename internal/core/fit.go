@@ -481,15 +481,8 @@ func (s *sweep) uPass(update func(i int, num, den []float64)) {
 			} else {
 				// MulBTObserved's dot: one sum over the observed columns.
 				js := s.cols[s.ptr[i]:s.ptr[i+1]]
-				for r := 0; r < k; r++ {
-					vr := vd[r*m : (r+1)*m]
-					var a, b float64
-					for _, j := range js {
-						a += xi[j] * vr[j]
-						b += ei[j] * vr[j]
-					}
-					num[r], den[r] = a, b
-				}
+				mat.RowMulBTAt(num, xi, vd, m, js)
+				mat.RowMulBTAt(den, ei, vd, m, js)
 			}
 			update(i, num, den)
 		}
@@ -556,7 +549,7 @@ func (s *sweep) vPass(update func(lo, hi int, num, den []float64)) {
 			// ProjectMul's product on the observed columns, weighted; the
 			// sums skip exact-zero data and products, as a walk over the
 			// nonzero entries of an Ω-supported matrix does.
-			rowMulAt(p, ui, vd, m, js)
+			mat.RowMulAt(p, ui, vd, m, js)
 			for _, j := range js {
 				t := int(j) - lo
 				xv, ev := xi[t], p[j]
@@ -605,7 +598,7 @@ func (s *sweep) objective() float64 {
 			if s.dense {
 				mat.RowMul(p, ui, vd, m, 0)
 			} else {
-				rowMulAt(p, ui, vd, m, js)
+				mat.RowMulAt(p, ui, vd, m, js)
 			}
 			xi, ei := xd[i*m:(i+1)*m], ed[i*m:(i+1)*m]
 			if wd != nil {
@@ -625,31 +618,4 @@ func (s *sweep) objective() float64 {
 		}
 		return sum
 	})
-}
-
-// rowMulAt stores (u_i·V)_j into p[j] for the columns j in js, in
-// ProjectMul's order: four coefficients at a time, none skipped.
-func rowMulAt(p, ui, vd []float64, m int, js []int32) {
-	for _, j := range js {
-		p[j] = 0
-	}
-	k := len(ui)
-	t := 0
-	for ; t+4 <= k; t += 4 {
-		a0, a1, a2, a3 := ui[t], ui[t+1], ui[t+2], ui[t+3]
-		v0 := vd[t*m : (t+1)*m]
-		v1 := vd[(t+1)*m : (t+2)*m]
-		v2 := vd[(t+2)*m : (t+3)*m]
-		v3 := vd[(t+3)*m : (t+4)*m]
-		for _, j := range js {
-			p[j] += a0*v0[j] + a1*v1[j] + a2*v2[j] + a3*v3[j]
-		}
-	}
-	for ; t < k; t++ {
-		av := ui[t]
-		vt := vd[t*m : (t+1)*m]
-		for _, j := range js {
-			p[j] += av * vt[j]
-		}
-	}
 }

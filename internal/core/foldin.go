@@ -53,12 +53,9 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 	}
 	// A row with nothing observed has no data to fit: its coefficients would
 	// go to zero, answering every column's training minimum as an imputation.
+	ptr, obs := omega.RowIndex()
 	for i := 0; i < r; i++ {
-		seen := false
-		for j := 0; j < cols && !seen; j++ {
-			seen = omega.Observed(i, j)
-		}
-		if !seen {
+		if ptr[i] == ptr[i+1] {
 			return nil, fmt.Errorf("core: FoldIn row %d has no observed cell", i)
 		}
 	}
@@ -109,11 +106,8 @@ func (m *Model) FoldIn(rows *mat.Dense, omega *mat.Mask, iters int) (*mat.Dense,
 				for t := 0; t < k; t++ {
 					num[t], den[t] = 0, 0
 				}
-				for j := 0; j < cols; j++ {
-					if !omega.Observed(i, j) {
-						continue
-					}
-					vtj := vtd[j*k : (j+1)*k]
+				for _, j := range obs[ptr[i]:ptr[i+1]] {
+					vtj := vtd[int(j)*k : int(j)*k+k]
 					// Open-coded dot (same accumulation order as mat.DotVec,
 					// which the compiler does not inline): p = (uV)_ij.
 					var p0, p1, p2, p3 float64

@@ -17,9 +17,11 @@ import (
 // objective in at most a third of GD's wall-clock. The GD baseline runs at a
 // step size tuned for its full-|Ω| column gradients (the family default 5e-3
 // diverges there — see cmd/smflbench's gdLRGrid); SGD runs at the family
-// default. Wall-clock assertions are inherently machine-sensitive, so the
-// bar (3×) sits well below the ~10× measured in BENCH_fit.json. Gated behind
-// SMFL_LARGE=1 so the tier-1 -race suite stays fast.
+// default. Wall-clock assertions are inherently machine-sensitive, and the
+// 3× bar sits close to what is measured now that full-sweep GD runs on the
+// three-pass sweep: BENCH_fit.json's 20k-row sweep reads 2.5–5.1× for sgd
+// and svrg at one worker, and this test 2.4–4.0× on a 2-vCPU host. Gated
+// behind SMFL_LARGE=1 so the tier-1 -race suite stays fast.
 func TestLargeNStochasticSpeedup(t *testing.T) {
 	if os.Getenv("SMFL_LARGE") == "" {
 		t.Skip("set SMFL_LARGE=1 to run the 150k-row smoke")

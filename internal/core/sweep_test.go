@@ -1,9 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/spatialmf/smfl/internal/faultinject"
@@ -316,6 +319,130 @@ func TestSweepBitIdentical(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSweepBitsPinned pins the bits of full-sweep fits and of folding rows
+// into them, which TestSweepBitIdentical cannot: that test compares the
+// fused passes with standalone kernels that share the masked row kernels
+// with them. Each case fits sweepInput's table at a density on each side of
+// DenseCutover, at one worker and at two with the pooled paths forced on,
+// and hashes (FNV-64a over Float64bits) U, V and every objective, then the
+// coefficients of a 16-row FoldIn against the fitted model. NMF builds no
+// spatial index, so it runs once. The hashes are amd64 bits: the arm64
+// compiler fuses multiply-adds.
+func TestSweepBitsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the pinned hashes are amd64 bits; arm64 fuses multiply-adds")
+	}
+	want := map[string][2]uint64{ // fit, fold-in
+		"w1/0.9/NMF/exact/multiplicative":     {0x0e6a578d1419fb15, 0x1f5ff07336a24c38},
+		"w1/0.9/NMF/exact/gd":                 {0xe4976bf5f4fe0539, 0x0b81611fc522c1cc},
+		"w1/0.9/SMF/exact/multiplicative":     {0x1cdb45dd88c026eb, 0x386b897e306d3939},
+		"w1/0.9/SMF/exact/gd":                 {0xc7257223ab50a288, 0x779cd7fc8478b07c},
+		"w1/0.9/SMF/landmark/multiplicative":  {0x1cdb45dd88c026eb, 0xca4cc9230cafc196},
+		"w1/0.9/SMF/landmark/gd":              {0xc7257223ab50a288, 0x713443415fc4bf2e},
+		"w1/0.9/SMFL/exact/multiplicative":    {0x94ecd282baa32452, 0xa137009cd98e6d03},
+		"w1/0.9/SMFL/exact/gd":                {0x51dc4dd7ff954f11, 0xa02ecf682f684301},
+		"w1/0.9/SMFL/landmark/multiplicative": {0x57995ff82fda0207, 0x1f5decf6733b2bb9},
+		"w1/0.9/SMFL/landmark/gd":             {0xeefc9ccf3a6a0208, 0xa2817a971ea9ba9e},
+		"w1/0.5/NMF/exact/multiplicative":     {0x589d1dcbf66ce1c1, 0xc0f794fd04de5888},
+		"w1/0.5/NMF/exact/gd":                 {0x97c1348e52332ecb, 0x6957c9e449245951},
+		"w1/0.5/SMF/exact/multiplicative":     {0xe1d09bbb5dfd0177, 0x4731c47e5eabc560},
+		"w1/0.5/SMF/exact/gd":                 {0xbd6b312e619457f4, 0x1b6eddb467ae2ef7},
+		"w1/0.5/SMF/landmark/multiplicative":  {0x37304a108d75023f, 0x87d671ed2611ecbf},
+		"w1/0.5/SMF/landmark/gd":              {0xe3ef73c2828c7ac4, 0x65be955839422a99},
+		"w1/0.5/SMFL/exact/multiplicative":    {0x248b3bfae78f0ee6, 0x4b0eae95e371770d},
+		"w1/0.5/SMFL/exact/gd":                {0xca83458ace8f69bf, 0x0863f9a86a3f8b24},
+		"w1/0.5/SMFL/landmark/multiplicative": {0xd9789ed51c55895f, 0x10e831f9111fa7ee},
+		"w1/0.5/SMFL/landmark/gd":             {0x8f934b3f07158d25, 0xaafaa6c6160090c3},
+		"w2/0.9/NMF/exact/multiplicative":     {0xb8734ff60d0c7742, 0x1f5ff07336a24c38},
+		"w2/0.9/NMF/exact/gd":                 {0x36090a2aa107b212, 0x0b81611fc522c1cc},
+		"w2/0.9/SMF/exact/multiplicative":     {0x9226501f03920a8e, 0x386b897e306d3939},
+		"w2/0.9/SMF/exact/gd":                 {0xcf029706c52ea031, 0x779cd7fc8478b07c},
+		"w2/0.9/SMF/landmark/multiplicative":  {0x9226501f03920a8e, 0xca4cc9230cafc196},
+		"w2/0.9/SMF/landmark/gd":              {0xcf029706c52ea031, 0x713443415fc4bf2e},
+		"w2/0.9/SMFL/exact/multiplicative":    {0xc0b0b244d79f9266, 0xa137009cd98e6d03},
+		"w2/0.9/SMFL/exact/gd":                {0x7256f62d6e24e60e, 0xa02ecf682f684301},
+		"w2/0.9/SMFL/landmark/multiplicative": {0x26494ec0ceb2bc69, 0x1f5decf6733b2bb9},
+		"w2/0.9/SMFL/landmark/gd":             {0x852e32bbae15fea8, 0xa2817a971ea9ba9e},
+		"w2/0.5/NMF/exact/multiplicative":     {0x01f14c0e934eaa27, 0xc0f794fd04de5888},
+		"w2/0.5/NMF/exact/gd":                 {0x2b70e289c05100be, 0x6957c9e449245951},
+		"w2/0.5/SMF/exact/multiplicative":     {0x6f14186b9d49962a, 0x4731c47e5eabc560},
+		"w2/0.5/SMF/exact/gd":                 {0x40fd03a60e6cc80a, 0x1b6eddb467ae2ef7},
+		"w2/0.5/SMF/landmark/multiplicative":  {0x10cea8231c1159af, 0x87d671ed2611ecbf},
+		"w2/0.5/SMF/landmark/gd":              {0xcd9bfefe2a885b57, 0x65be955839422a99},
+		"w2/0.5/SMFL/exact/multiplicative":    {0xf5b43ccb7094aa86, 0x4b0eae95e371770d},
+		"w2/0.5/SMFL/exact/gd":                {0xd974ae462314c2ec, 0x0863f9a86a3f8b24},
+		"w2/0.5/SMFL/landmark/multiplicative": {0x8418b864ba2bd461, 0x10e831f9111fa7ee},
+		"w2/0.5/SMFL/landmark/gd":             {0x649c3df4d2a71f6c, 0xaafaa6c6160090c3},
+	}
+	type pair struct {
+		method Method
+		ix     SpatialIndex
+	}
+	pairs := []pair{{NMF, SpatialExact}, {SMF, SpatialExact}, {SMF, SpatialLandmark}, {SMFL, SpatialExact}, {SMFL, SpatialLandmark}}
+	forEachWidth(t, func(t *testing.T) {
+		for _, density := range []float64{0.9, 0.5} {
+			in, l := sweepInput(t, 70, density, 9)
+			if (in.omega.Density() >= mat.DenseCutover) != (density > mat.DenseCutover) {
+				t.Fatalf("density %.1f drew a mask of density %.3f, across DenseCutover", density, in.omega.Density())
+			}
+			rows, omega := foldInRows(in.x, 16)
+			for _, pr := range pairs {
+				for _, up := range []Updater{Multiplicative, GradientDescent} {
+					name := fmt.Sprintf("%.1f/%s/%s/%s", density, pr.method, pr.ix, up)
+					key := fmt.Sprintf("w%d/%s", mat.Workers(), name)
+					t.Run(name, func(t *testing.T) {
+						cfg := Config{K: 5, Lambda: 0.1, P: 3, MaxIter: 15, Tol: 1e-300, Seed: 3,
+							Updater: up, LearningRate: 0.02, SpatialIndex: pr.ix}
+						model, err := Fit(in.x, in.omega, l, pr.method, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						u, err := model.FoldIn(rows, omega, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := [2]uint64{bitsHash(model.U.Data(), model.V.Data(), model.Objective), bitsHash(u.Data())}
+						if got != want[key] {
+							t.Errorf("%q: {%#016x, %#016x}, want {%#016x, %#016x}", key, got[0], got[1], want[key][0], want[key][1])
+						}
+					})
+				}
+			}
+		}
+	})
+}
+
+// foldInRows returns the first r rows of x with about a quarter of their
+// cells hidden, SI included, and at least four observed in every row.
+func foldInRows(x *mat.Dense, r int) (*mat.Dense, *mat.Mask) {
+	_, m := x.Dims()
+	rows := mat.NewDense(r, m)
+	omega := mat.NewMask(r, m)
+	for i := 0; i < r; i++ {
+		copy(rows.Row(i), x.Row(i))
+		for j := 0; j < m; j++ {
+			if (7*i+j)%4 != 0 {
+				omega.Observe(i, j)
+			}
+		}
+	}
+	return rows, omega
+}
+
+// bitsHash is the FNV-64a hash of the Float64bits of every value of ds, in
+// order.
+func bitsHash(ds ...[]float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, d := range ds {
+		for _, f := range d {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
 }
 
 // TestSweepRollbackRefreshesCarry drives gd at a learning rate that

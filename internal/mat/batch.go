@@ -119,33 +119,38 @@ func (s *BatchSampler) Batch(b int) []int32 { return s.perm[s.starts[b]:s.starts
 func (s *BatchSampler) BatchCells(b int) int { return s.cells[b] }
 
 // BatchScratch holds the reusable per-chunk buffers of the stochastic
-// kernels: one K×M gradient partial and per-row prediction rows per worker
-// chunk. Allocate one per fit and reuse it across every batch; the kernels
-// grow it on demand.
+// kernels: one K×M gradient partial, per-row prediction rows and one
+// K-vector U-gradient per worker chunk. Allocate one per fit and reuse it
+// across every batch; the kernels grow it on demand.
 type BatchScratch struct {
 	partials [][]float64
 	preds    [][]float64
 	apreds   [][]float64
+	grads    [][]float64
 }
 
 // NewBatchScratch returns an empty scratch; the kernels size it lazily.
 func NewBatchScratch() *BatchScratch { return &BatchScratch{} }
 
-func (sc *BatchScratch) ensure(nc, km, cols int, anchor bool) {
+func (sc *BatchScratch) ensure(nc, k, cols int, anchor bool) {
 	for len(sc.partials) < nc {
 		sc.partials = append(sc.partials, nil)
 		sc.preds = append(sc.preds, nil)
 		sc.apreds = append(sc.apreds, nil)
+		sc.grads = append(sc.grads, nil)
 	}
 	for ci := 0; ci < nc; ci++ {
-		if len(sc.partials[ci]) < km {
-			sc.partials[ci] = make([]float64, km)
+		if len(sc.partials[ci]) < k*cols {
+			sc.partials[ci] = make([]float64, k*cols)
 		}
 		if len(sc.preds[ci]) < cols {
 			sc.preds[ci] = make([]float64, cols)
 		}
 		if anchor && len(sc.apreds[ci]) < cols {
 			sc.apreds[ci] = make([]float64, cols)
+		}
+		if len(sc.grads[ci]) < k {
+			sc.grads[ci] = make([]float64, k)
 		}
 	}
 }
@@ -220,13 +225,14 @@ func stochAccum(src RowSource, gv, u, v, au, av *Dense, rows []int32, lr float64
 		workPer = 6 // plus the anchor's pred + scatter
 	}
 	nc := ChunksFor(n, ncells*k*workPer)
-	sc.ensure(nc, k*cols, cols, au != nil)
+	sc.ensure(nc, k, cols, au != nil)
 	ParallelChunks(n, nc, func(ci, lo, hi int) {
 		rd := src.Reader()
 		defer rd.Release()
 		part := sc.partials[ci][:k*cols]
 		clear(part)
 		pred := sc.preds[ci][:cols]
+		grad := sc.grads[ci][:k]
 		var apred []float64
 		if au != nil {
 			apred = sc.apreds[ci][:cols]
@@ -242,17 +248,13 @@ func stochAccum(src RowSource, gv, u, v, au, av *Dense, rows []int32, lr float64
 			}
 			ui := u.data[i*k : (i+1)*k]
 			if update {
-				predictRow(pred, ui, v, jsr)
+				RowMulAt(pred, ui, v.data, cols, jsr)
 				for _, j := range jsr {
 					pred[j] = xi[j] - pred[j]
 				}
-				for r := 0; r < k; r++ {
-					vr := v.data[r*cols : (r+1)*cols]
-					var s float64
-					for _, j := range jsr {
-						s += pred[j] * vr[j]
-					}
-					nv := ui[r] + 2*lr*s
+				RowMulBTAt(grad, pred, v.data, cols, jsr)
+				for r, g := range grad {
+					nv := ui[r] + 2*lr*g
 					if nv < 0 {
 						nv = 0
 					}
@@ -268,13 +270,13 @@ func stochAccum(src RowSource, gv, u, v, au, av *Dense, rows []int32, lr float64
 			if len(js) == 0 {
 				continue
 			}
-			predictRow(pred, ui, v, js)
+			RowMulAt(pred, ui, v.data, cols, js)
 			for _, j := range js {
 				pred[j] = xi[j] - pred[j]
 			}
 			if au != nil {
 				ai := au.data[i*k : (i+1)*k]
-				predictRow(apred, ai, av, js)
+				RowMulAt(apred, ai, av.data, cols, js)
 				for _, j := range js {
 					apred[j] = xi[j] - apred[j]
 				}
@@ -302,34 +304,6 @@ func stochAccum(src RowSource, gv, u, v, au, av *Dense, rows []int32, lr float64
 		part := sc.partials[ci][:k*cols]
 		for t, pv := range part {
 			gd[t] += pv
-		}
-	}
-}
-
-// predictRow gathers pred[j] = Σ_r ui[r]·v[r][j] over the observed columns
-// js, 4-wide over the factor rows like ProjectMul's inner kernel.
-func predictRow(pred, ui []float64, v *Dense, js []int32) {
-	cols := v.cols
-	for _, j := range js {
-		pred[j] = 0
-	}
-	k := len(ui)
-	t := 0
-	for ; t+4 <= k; t += 4 {
-		a0, a1, a2, a3 := ui[t], ui[t+1], ui[t+2], ui[t+3]
-		v0 := v.data[t*cols : (t+1)*cols]
-		v1 := v.data[(t+1)*cols : (t+2)*cols]
-		v2 := v.data[(t+2)*cols : (t+3)*cols]
-		v3 := v.data[(t+3)*cols : (t+4)*cols]
-		for _, j := range js {
-			pred[j] += a0*v0[j] + a1*v1[j] + a2*v2[j] + a3*v3[j]
-		}
-	}
-	for ; t < k; t++ {
-		av := ui[t]
-		vt := v.data[t*cols : (t+1)*cols]
-		for _, j := range js {
-			pred[j] += av * vt[j]
 		}
 	}
 }

@@ -93,10 +93,10 @@ func (m *Mask) RowIndex() (ptr []int, cols []int32) {
 
 // ProjectMul stores R_Ω(u·v) into dst (allocated if nil) and returns dst,
 // evaluating only the observed entries instead of materializing the full
-// u·v. The inner kernel runs k-outer and 4-wide over the factor rows,
-// gathering on the observed column list, so per-iteration cost scales with
-// |Ω|·k. When the mask density reaches DenseCutover it switches to the dense
-// Mul followed by an in-place projection. dst must not alias u or v.
+// u·v. Each row is one RowMulAt, k-outer and 4-wide over the factor rows,
+// gathering on the row's observed column list, so per-iteration cost scales
+// with |Ω|·k. When the mask density reaches DenseCutover it switches to the
+// dense Mul followed by an in-place projection. dst must not alias u or v.
 func (m *Mask) ProjectMul(dst, u, v *Dense) *Dense {
 	if u.rows != m.rows || v.cols != m.cols || u.cols != v.rows {
 		panic(fmt.Sprintf("mat: ProjectMul %dx%d · %dx%d vs mask %dx%d",
@@ -119,32 +119,9 @@ func (m *Mask) ProjectMul(dst, u, v *Dense) *Dense {
 	cols := m.cols
 	ix := m.rowIdx()
 	ParallelRange(m.rows, len(ix.idx)*k, func(lo, hi int) {
+		clear(dst.data[lo*cols : hi*cols])
 		for i := lo; i < hi; i++ {
-			di := dst.data[i*cols : (i+1)*cols]
-			clear(di)
-			jsr := ix.idx[ix.indptr[i]:ix.indptr[i+1]]
-			if len(jsr) == 0 {
-				continue
-			}
-			ui := u.data[i*k : (i+1)*k]
-			t := 0
-			for ; t+4 <= k; t += 4 {
-				a0, a1, a2, a3 := ui[t], ui[t+1], ui[t+2], ui[t+3]
-				v0 := v.data[t*cols : (t+1)*cols]
-				v1 := v.data[(t+1)*cols : (t+2)*cols]
-				v2 := v.data[(t+2)*cols : (t+3)*cols]
-				v3 := v.data[(t+3)*cols : (t+4)*cols]
-				for _, j := range jsr {
-					di[j] += a0*v0[j] + a1*v1[j] + a2*v2[j] + a3*v3[j]
-				}
-			}
-			for ; t < k; t++ {
-				av := ui[t]
-				vt := v.data[t*cols : (t+1)*cols]
-				for _, j := range jsr {
-					di[j] += av * vt[j]
-				}
-			}
+			RowMulAt(dst.data[i*cols:(i+1)*cols], u.data[i*k:(i+1)*k], v.data, cols, ix.idx[ix.indptr[i]:ix.indptr[i+1]])
 		}
 	})
 	return dst
@@ -155,7 +132,7 @@ func (m *Mask) ProjectMul(dst, u, v *Dense) *Dense {
 // giving an R×K product. a must be supported on Ω (for example the output of
 // ProjectMul or Project): off-Ω entries must be exact zeros, which makes the
 // result equal MulBT(dst, a, b) while doing only |Ω|·K of its R·C·K
-// multiply-adds. Near-full masks (density ≥ DenseCutover) delegate to the
+// multiply-adds, one RowMulBTAt per row. Near-full masks (density ≥ DenseCutover) delegate to the
 // streaming MulBT, which beats the gathered walk there. dst must not alias a
 // or b.
 func (m *Mask) MulBTObserved(dst, a, b *Dense) *Dense {
@@ -174,36 +151,7 @@ func (m *Mask) MulBTObserved(dst, a, b *Dense) *Dense {
 	ix := m.rowIdx()
 	ParallelRange(m.rows, len(ix.idx)*k, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			jsr := ix.idx[ix.indptr[i]:ix.indptr[i+1]]
-			if len(jsr) == 0 {
-				continue
-			}
-			ai := a.data[i*cols : (i+1)*cols]
-			di := dst.data[i*k : (i+1)*k]
-			t := 0
-			for ; t+4 <= k; t += 4 {
-				b0 := b.data[t*cols : (t+1)*cols]
-				b1 := b.data[(t+1)*cols : (t+2)*cols]
-				b2 := b.data[(t+2)*cols : (t+3)*cols]
-				b3 := b.data[(t+3)*cols : (t+4)*cols]
-				var s0, s1, s2, s3 float64
-				for _, j := range jsr {
-					av := ai[j]
-					s0 += av * b0[j]
-					s1 += av * b1[j]
-					s2 += av * b2[j]
-					s3 += av * b3[j]
-				}
-				di[t], di[t+1], di[t+2], di[t+3] = s0, s1, s2, s3
-			}
-			for ; t < k; t++ {
-				bt := b.data[t*cols : (t+1)*cols]
-				var s float64
-				for _, j := range jsr {
-					s += ai[j] * bt[j]
-				}
-				di[t] = s
-			}
+			RowMulBTAt(dst.data[i*k:(i+1)*k], a.data[i*cols:(i+1)*cols], b.data, cols, ix.idx[ix.indptr[i]:ix.indptr[i+1]])
 		}
 	})
 	return dst
@@ -228,7 +176,7 @@ func MaskedFrob2MulSource(src RowSource, u, v *Dense) float64 {
 }
 
 // maskedFrob2Mul is the kernel behind both fused objectives: the sum over Ω
-// of (x_ij − (u·v)_ij)².
+// of (x_ij − (u·v)_ij)², with each row's (u·v)_ij from RowMulAt.
 func maskedFrob2Mul(src RowSource, u, v *Dense) float64 {
 	n, cols := src.Dims()
 	if u.rows != n || v.cols != cols || u.cols != v.rows {
@@ -246,31 +194,7 @@ func maskedFrob2Mul(src RowSource, u, v *Dense) float64 {
 		var s float64
 		for i := lo; i < hi; i++ {
 			xi, jsr := rd.Row(i)
-			if len(jsr) == 0 {
-				continue
-			}
-			ui := u.data[i*k : (i+1)*k]
-			for _, j := range jsr {
-				pred[j] = 0
-			}
-			t := 0
-			for ; t+4 <= k; t += 4 {
-				a0, a1, a2, a3 := ui[t], ui[t+1], ui[t+2], ui[t+3]
-				v0 := v.data[t*cols : (t+1)*cols]
-				v1 := v.data[(t+1)*cols : (t+2)*cols]
-				v2 := v.data[(t+2)*cols : (t+3)*cols]
-				v3 := v.data[(t+3)*cols : (t+4)*cols]
-				for _, j := range jsr {
-					pred[j] += a0*v0[j] + a1*v1[j] + a2*v2[j] + a3*v3[j]
-				}
-			}
-			for ; t < k; t++ {
-				av := ui[t]
-				vt := v.data[t*cols : (t+1)*cols]
-				for _, j := range jsr {
-					pred[j] += av * vt[j]
-				}
-			}
+			RowMulAt(pred, u.data[i*k:(i+1)*k], v.data, cols, jsr)
 			for _, j := range jsr {
 				d := xi[j] - pred[j]
 				s += d * d
@@ -278,4 +202,80 @@ func maskedFrob2Mul(src RowSource, u, v *Dense) float64 {
 		}
 		return s
 	})
+}
+
+// RowMulAt stores (u·V)_j into p[j] for every column j in js, where V is the
+// len(u)×m matrix with data v: one row of R_Ω(u·V), the observed-cell
+// gather. The order is ProjectMul's: p[j] starts at zero, each block of four
+// coefficients adds ((a0·v0 + a1·v1) + a2·v2) + a3·v3 to it, then each
+// remaining coefficient adds a·v. No coefficient is skipped, and p outside
+// js is left alone. len(p) must not exceed m.
+//
+// The first block stores 0 + its sum, which is those bits (0 + −0 is +0)
+// without a pass that zeroes p first. The loops advance u and v rather than
+// index them, and fourRows reslices each V row to len(p), so that the j
+// loops keep their index in a register.
+func RowMulAt(p, u, v []float64, m int, js []int32) {
+	stored := false // a block has stored p[j]
+	for ; len(u) >= 4; u, v = u[4:], v[4*m:] {
+		a0, a1, a2, a3 := u[0], u[1], u[2], u[3]
+		v0, v1, v2, v3 := fourRows(v, m, len(p))
+		if stored {
+			for _, j := range js {
+				p[j] += a0*v0[j] + a1*v1[j] + a2*v2[j] + a3*v3[j]
+			}
+		} else {
+			for _, j := range js {
+				p[j] = 0 + (a0*v0[j] + a1*v1[j] + a2*v2[j] + a3*v3[j])
+			}
+			stored = true
+		}
+	}
+	if !stored {
+		for _, j := range js {
+			p[j] = 0
+		}
+	}
+	for ; len(u) > 0; u, v = u[1:], v[m:] {
+		av := u[0]
+		vt := v[:m][:len(p)]
+		for _, j := range js {
+			p[j] += av * vt[j]
+		}
+	}
+}
+
+// RowMulBTAt stores Σ_{j∈js} a_j·V_rj into dst[r] for every r < len(dst),
+// where V is the len(dst)×m matrix with data v: one row of R_Ω(a)·Vᵀ, the
+// observed dot. Each dst[r] is one running sum over js in order, as
+// MulBTObserved sums; four rows share a pass over js, which changes no sum.
+// len(a) must not exceed m. The loops are shaped as RowMulAt's.
+func RowMulBTAt(dst, a, v []float64, m int, js []int32) {
+	for ; len(dst) >= 4; dst, v = dst[4:], v[4*m:] {
+		b0, b1, b2, b3 := fourRows(v, m, len(a))
+		var s0, s1, s2, s3 float64
+		for _, j := range js {
+			av := a[j]
+			s0 += av * b0[j]
+			s1 += av * b1[j]
+			s2 += av * b2[j]
+			s3 += av * b3[j]
+		}
+		dst[0], dst[1], dst[2], dst[3] = s0, s1, s2, s3
+	}
+	for ; len(dst) > 0; dst, v = dst[1:], v[m:] {
+		bt := v[:m][:len(a)]
+		var s float64
+		for _, j := range js {
+			s += a[j] * bt[j]
+		}
+		dst[0] = s
+	}
+}
+
+// fourRows returns the first four rows of the matrix with data v and row
+// length m, each cut to its first n ≤ m entries, so that one bounds check
+// on an index below n covers a load from all four.
+func fourRows(v []float64, m, n int) (v0, v1, v2, v3 []float64) {
+	return v[:m][:n], v[m : 2*m][:n], v[2*m : 3*m][:n], v[3*m : 4*m][:n]
 }

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -123,5 +124,104 @@ func TestDensity(t *testing.T) {
 	}
 	if d := NewMask(0, 0).Density(); d != 1 {
 		t.Fatalf("zero-size mask density %v", d)
+	}
+}
+
+// observedSets returns the column lists the observed row kernels are pinned
+// on for a row of width m: none, only the first column, only the last,
+// every column, and a random ascending subset.
+func observedSets(rng *rand.Rand, m int) [][]int32 {
+	all := make([]int32, m)
+	var some []int32
+	for j := range all {
+		all[j] = int32(j)
+		if rng.Intn(2) == 0 {
+			some = append(some, int32(j))
+		}
+	}
+	return [][]int32{nil, {0}, {int32(m - 1)}, all, some}
+}
+
+// unobservedNaN is planted where the kernels must not read: in a and in V
+// outside js. guard is planted where they must not write, in p outside js
+// and in dst past its length; it is finite, so a write there shows even
+// when it adds an unobservedNaN.
+var (
+	unobservedNaN = math.Float64frombits(0x7ff80000deadbeef)
+	guard         = -7.25
+)
+
+// TestObservedRowKernelsMatchLoops pins RowMulAt and RowMulBTAt to plain
+// loops written in another order: the gather with the column outermost and
+// each p[j] summed in the same blocks of four coefficients, the dot as one
+// running sum per coefficient row. The inputs hold zeros of both signs, and
+// with special set NaN, infinities and subnormals. p starts as guard
+// everywhere, so a cell in js that is not zeroed first, or a cell outside js
+// that is written, shows. a and every row of V hold unobservedNaN outside
+// js, so a read of an unobserved cell shows too, and dst has a guard past
+// len(dst) that must stay untouched.
+func TestObservedRowKernelsMatchLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, special := range []bool{false, true} {
+		for _, k := range kernelKs {
+			for _, m := range kernelLens {
+				for set, js := range observedSets(rng, m) {
+					name := fmt.Sprintf("special=%v/K=%d/m=%d/set=%d", special, k, m, set)
+					u := kernelCoefficients(rng, k, special)
+					v := kernelValues(rng, k*m, special)
+					v[rng.Intn(k*m)] = math.Copysign(0, -1)
+					a := fill(m, unobservedNaN)
+					inJS := make([]bool, m)
+					for _, j := range js {
+						a[j] = kernelValues(rng, 1, special)[0]
+						inJS[j] = true
+					}
+					if len(js) > 0 {
+						a[js[0]] = math.Copysign(0, -1)
+					}
+					for j, in := range inJS {
+						if !in {
+							for r := 0; r < k; r++ {
+								v[r*m+j] = unobservedNaN
+							}
+						}
+					}
+
+					want := fill(m, guard)
+					for _, j := range js {
+						var s float64
+						t := 0
+						for ; t+4 <= k; t += 4 {
+							s += u[t]*v[t*m+int(j)] + u[t+1]*v[(t+1)*m+int(j)] + u[t+2]*v[(t+2)*m+int(j)] + u[t+3]*v[(t+3)*m+int(j)]
+						}
+						for ; t < k; t++ {
+							s += u[t] * v[t*m+int(j)]
+						}
+						want[j] = s
+					}
+					got := fill(m, guard)
+					RowMulAt(got, u, v, m, js)
+					if i, ok := sameBits(got, want); !ok {
+						t.Fatalf("RowMulAt %s: p[%d] = %v (%#x), loop %v (%#x)", name, i,
+							got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+					}
+
+					wantDot := fill(k+4, guard)
+					for r := 0; r < k; r++ {
+						var s float64
+						for _, j := range js {
+							s += a[j] * v[r*m+int(j)]
+						}
+						wantDot[r] = s
+					}
+					gotDot := fill(k+4, guard)
+					RowMulBTAt(gotDot[:k], a, v, m, js)
+					if i, ok := sameBits(gotDot, wantDot); !ok {
+						t.Fatalf("RowMulBTAt %s: dst[%d] = %v (%#x), loop %v (%#x)", name, i,
+							gotDot[i], math.Float64bits(gotDot[i]), wantDot[i], math.Float64bits(wantDot[i]))
+					}
+				}
+			}
+		}
 	}
 }

@@ -272,6 +272,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// New rows arrive in original units; apply the training
 		// normalization, fold in, and map back.
 		nz.Apply(ds.X)
+		if err := checkNormalized(ds, mask); err != nil {
+			return err
+		}
 		model.Config.Ctx = ctx
 		start := time.Now()
 		u, err := model.FoldIn(ds.X, mask, *maxIter)
@@ -364,6 +367,29 @@ func readTable(path string, l int) (*table, error) {
 	}
 	nz.Apply(ds.X)
 	return &table{columns: ds.Columns, nz: nz, x: ds.X, mask: mask}, nil
+}
+
+// checkNormalized refuses the first observed cell of ds, in row order, that
+// the training normalization maps below 0 or to +Inf (or that is NaN),
+// naming its row and column, as smfld refuses a request's cell. FoldIn would
+// refuse the whole table without saying where.
+func checkNormalized(ds *dataset.Dataset, mask *mat.Mask) error {
+	n, _ := ds.Dims()
+	var cols []int32
+	for i := 0; i < n; i++ {
+		cols = mask.AppendObservedCols(cols[:0], i)
+		for _, j := range cols {
+			switch v := ds.X.At(i, int(j)); {
+			case v < 0:
+				return fmt.Errorf("row %d, column %s: below the training minimum", i, ds.Columns[j])
+			case math.IsInf(v, 1):
+				return fmt.Errorf("row %d, column %s: overflows the training normalization", i, ds.Columns[j])
+			case math.IsNaN(v):
+				return fmt.Errorf("row %d, column %s: not a number", i, ds.Columns[j])
+			}
+		}
+	}
+	return nil
 }
 
 // readMasked reads a CSV whose blank cells mark missing values.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -425,6 +426,75 @@ func TestRunFoldinRequiresModel(t *testing.T) {
 
 // runOK runs the CLI with args, fails the test on error, and returns what
 // the command wrote to stdout.
+// TestRunFoldinNamesRefusedCell refuses a foldin table whose observed cell
+// the training normalization maps below 0 or to +Inf, or that is NaN, naming
+// the cell's row and column, and writes nothing. A valid table's output is
+// CompleteRows → Invert → WriteCSV's bytes.
+func TestRunFoldinNamesRefusedCell(t *testing.T) {
+	in := writeTempCSV(t, true)
+	dir := t.TempDir()
+	modelPath := filepath.Join(dir, "m.smfl")
+	runOK(t, "impute", "-in", in, "-out", filepath.Join(dir, "f.csv"), "-k", "3", "-maxiter", "40", "-savemodel", modelPath)
+	lines := strings.Split(string(mustRead(t, in)), "\n")
+	header := strings.Split(lines[0], ",")
+	writeRows := func(name string, bad string) string {
+		t.Helper()
+		rows := append([]string(nil), lines[1:4]...)
+		if bad != "" {
+			fields := strings.Split(rows[1], ",")
+			fields[3] = bad
+			rows[1] = strings.Join(fields, ",")
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(lines[0]+"\n"+strings.Join(rows, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	valid := writeRows("valid.csv", "")
+	got := runOK(t, "foldin", "-model", modelPath, "-in", valid)
+	model, nz, err := loadArtifact(modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, mask, err := readMasked(valid, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nz.Apply(ds.X)
+	completed, err := model.CompleteRows(ds.X, mask, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nz.Invert(completed)
+	ds.X = completed
+	var want bytes.Buffer
+	if err := ds.WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("foldin of a valid table: got\n%s\nwant\n%s", got, want.Bytes())
+	}
+
+	for _, c := range []struct{ value, why string }{
+		{"-1e6", "below the training minimum"},
+		{"Inf", "overflows the training normalization"},
+		{"-Inf", "below the training minimum"},
+		{"NAN", "not a number"},
+	} {
+		path := writeRows("bad.csv", c.value)
+		var stdout, stderr bytes.Buffer
+		err := run(context.Background(), []string{"foldin", "-model", modelPath, "-in", path}, &stdout, &stderr)
+		if msg := fmt.Sprintf("row 1, column %s: %s", header[3], c.why); err == nil || err.Error() != msg {
+			t.Fatalf("foldin of a %s cell: got %v, want %q", c.value, err, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Fatalf("foldin of a %s cell wrote %q", c.value, stdout.String())
+		}
+	}
+}
+
 func runOK(t *testing.T, args ...string) []byte {
 	t.Helper()
 	var stdout, stderr bytes.Buffer

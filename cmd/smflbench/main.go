@@ -21,7 +21,10 @@
 // objective ("epochs to tolerance") — the wall-clock-to-equal-quality
 // comparison behind the stochastic updaters. Setting SMFL_LARGE=1 appends
 // rows at -stoch-large-n rows (default batch size only), the million-row
-// regime the stochastic family exists for.
+// regime the stochastic family exists for. -store times the same SGD fit
+// over the dense matrix and over a shard store at three memory budgets.
+// Their times are medians over -runs fits as well, and every run of a cell
+// must end on the same final-objective bits.
 package main
 
 import (
@@ -30,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -228,7 +232,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			batches = append(batches, b)
 		}
-		rows, err := benchStochastic(*stochN, batches, *k, *stochEpochs, *seed, stderr)
+		rows, err := benchStochastic(*stochN, batches, *k, *stochEpochs, *runs, *seed, stderr)
 		if err != nil {
 			return err
 		}
@@ -236,7 +240,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if os.Getenv("SMFL_LARGE") == "1" && *stochLargeN > 0 {
 			// The large row demonstrates million-row scale at the default
 			// batch size; the batch-size trade-off itself is swept above.
-			rows, err := benchStochastic(*stochLargeN, []int{32768}, *k, *stochEpochs, *seed, stderr)
+			rows, err := benchStochastic(*stochLargeN, []int{32768}, *k, *stochEpochs, *runs, *seed, stderr)
 			if err != nil {
 				return err
 			}
@@ -245,7 +249,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *storeSweep {
-		rows, err := benchStore(*storeN, *k, *stochEpochs, *seed, stderr)
+		rows, err := benchStore(*storeN, *k, *stochEpochs, *runs, *seed, stderr)
 		if err != nil {
 			return err
 		}
@@ -384,15 +388,11 @@ func benchCell(name string, scale, rate float64, method core.Method, k, maxIter,
 	n, m := res.Data.Dims()
 	cfg := core.Config{K: k, Lambda: 0.1, P: 3, MaxIter: maxIter, Tol: 1e-9, Seed: seed, SpatialIndex: six}
 
-	var model *core.Model
-	fitTimes := make([]float64, runs)
-	for r := 0; r < runs; r++ {
-		start := time.Now()
-		model, err = core.Fit(res.Data.X, mask, res.Data.L, method, cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		fitTimes[r] = float64(time.Since(start).Microseconds()) / 1e3
+	model, fitMillis, err := medianFit(runs, func() (*core.Model, error) {
+		return core.Fit(res.Data.X, mask, res.Data.L, method, cfg)
+	})
+	if err != nil {
+		return Result{}, err
 	}
 
 	out := Result{
@@ -400,7 +400,7 @@ func benchCell(name string, scale, rate float64, method core.Method, k, maxIter,
 		Rows:        n,
 		Cols:        m,
 		MissingRate: rate,
-		FitMillis:   median(fitTimes),
+		FitMillis:   fitMillis,
 		FitIters:    model.Iters,
 	}
 	if foldRows > 0 {
@@ -422,6 +422,33 @@ func benchCell(name string, scale, rate float64, method core.Method, k, maxIter,
 	return out, nil
 }
 
+// medianFit runs fit runs times and returns the first run's model and the
+// median wall-clock of the runs in milliseconds. The runs of one cell repeat
+// one trajectory, so a run whose final objective has other bits than the
+// first run's is an error, not a data point.
+func medianFit(runs int, fit func() (*core.Model, error)) (*core.Model, float64, error) {
+	var first *core.Model
+	walls := make([]float64, runs)
+	for r := range walls {
+		start := time.Now()
+		m, err := fit()
+		if err != nil {
+			return nil, 0, err
+		}
+		walls[r] = float64(time.Since(start).Microseconds()) / 1e3
+		if first == nil {
+			first = m
+			continue
+		}
+		if got, want := finalObjective(m), finalObjective(first); math.Float64bits(got) != math.Float64bits(want) {
+			return nil, 0, fmt.Errorf("run %d ended on objective %v, run 0 on %v: the fit is not deterministic", r, got, want)
+		}
+	}
+	return first, median(walls), nil
+}
+
+func finalObjective(m *core.Model) float64 { return m.Objective[len(m.Objective)-1] }
+
 // stochLR is the step size every stochastic sweep fit uses — the gradient
 // family's documented default on [0,1]-normalized data (see
 // experiments.mfConfig). The GD baseline does NOT share it: full-sweep
@@ -436,13 +463,14 @@ var gdLRGrid = []float64{5e-3, 1e-3, 2e-4, 4e-5, 8e-6, 1.6e-6}
 
 // benchStochastic compares the mini-batch updaters against full-sweep
 // gradient descent on one synthetic n×50 table at 90% missing. The GD
-// baseline runs the full epoch budget at each grid step size and the best
-// final objective fixes the quality bar; each sgd/svrg × batch-size cell
-// (all at the fixed family-default step) then reports how many epochs — and
-// how much wall-clock — it needs to reach that bar. Tol is set below
-// reachability so every run exhausts the budget and ms/epoch is measured
-// over the full trajectory.
-func benchStochastic(n int, batches []int, k, epochs int, seed int64, stderr io.Writer) ([]StochResult, error) {
+// baseline runs the full epoch budget once at each grid step size and the
+// best final objective fixes the quality bar; each sgd/svrg × batch-size
+// cell (all at the fixed family-default step) then reports how many epochs —
+// and how much wall-clock — it needs to reach that bar. Every reported wall
+// time, the chosen GD step's included, is the median of runs fits. Tol is
+// set below reachability so every run exhausts the budget and ms/epoch is
+// measured over the full trajectory.
+func benchStochastic(n int, batches []int, k, epochs, runs int, seed int64, stderr io.Writer) ([]StochResult, error) {
 	const cols, missing = 50, 0.9
 	res, err := dataset.Generate(dataset.Spec{
 		Name: "Synthetic", N: n, M: cols, L: 2,
@@ -466,7 +494,7 @@ func benchStochastic(n int, batches []int, k, epochs int, seed int64, stderr io.
 	}
 	lrScale := 1e5 / float64(mask.Count())
 	var gd *core.Model
-	var gdWall, gdObj, gdLR float64
+	var gdObj, gdLR float64
 	for _, base := range gdLRGrid {
 		lr := base * lrScale
 		gcfg := cfg
@@ -477,12 +505,20 @@ func benchStochastic(n int, batches []int, k, epochs int, seed int64, stderr io.
 			return nil, err
 		}
 		wall := float64(time.Since(start).Microseconds()) / 1e3
-		obj := m.Objective[len(m.Objective)-1]
+		obj := finalObjective(m)
 		fmt.Fprintf(stderr, "smflbench: stochastic N=%-8d gd lr=%-8.2g obj %.4f after %d epochs (%.0fms)\n",
 			n, lr, obj, m.Iters, wall)
 		if gd == nil || obj < gdObj {
-			gd, gdWall, gdObj, gdLR = m, wall, obj, lr
+			gd, gdObj, gdLR = m, obj, lr
 		}
+	}
+	gcfg := cfg
+	gcfg.LearningRate = gdLR
+	gd, gdWall, err := medianFit(runs, func() (*core.Model, error) {
+		return core.Fit(x, mask, res.Data.L, core.NMF, gcfg)
+	})
+	if err != nil {
+		return nil, err
 	}
 	rows := []StochResult{{
 		Rows: n, Cols: cols, MissingRate: missing,
@@ -500,17 +536,17 @@ func benchStochastic(n int, batches []int, k, epochs int, seed int64, stderr io.
 			scfg.Updater = up
 			scfg.BatchCells = bc
 			scfg.LearningRate = stochLR
-			start := time.Now()
-			m, err := core.Fit(x, mask, res.Data.L, core.NMF, scfg)
+			m, wall, err := medianFit(runs, func() (*core.Model, error) {
+				return core.Fit(x, mask, res.Data.L, core.NMF, scfg)
+			})
 			if err != nil {
 				return nil, err
 			}
-			wall := float64(time.Since(start).Microseconds()) / 1e3
 			row := StochResult{
 				Rows: n, Cols: cols, MissingRate: missing,
 				Updater: up.String(), BatchCells: bc, LearningRate: stochLR, Epochs: m.Iters,
 				MsPerEpoch:     wall / float64(m.Iters),
-				FinalObjective: m.Objective[len(m.Objective)-1],
+				FinalObjective: finalObjective(m),
 			}
 			for i, o := range m.Objective {
 				if o <= gdObj {
@@ -532,8 +568,9 @@ func benchStochastic(n int, batches []int, k, epochs int, seed int64, stderr io.
 // same fit streamed from the shard store at a sweep of memory budgets
 // (fractions of the store's on-disk size). Final objectives must agree
 // bitwise — that is the storage backend's core contract — so a mismatch is
-// an error, not a data point.
-func benchStore(n, k, epochs int, seed int64, stderr io.Writer) ([]StoreResult, error) {
+// an error, not a data point. Each wall time is the median of runs fits,
+// and each mmap run opens the store afresh, with a cold shard cache.
+func benchStore(n, k, epochs, runs int, seed int64, stderr io.Writer) ([]StoreResult, error) {
 	const cols, missing = 50, 0.9
 	res, err := dataset.Generate(dataset.Spec{
 		Name: "Synthetic", N: n, M: cols, L: 2,
@@ -556,13 +593,13 @@ func benchStore(n, k, epochs int, seed int64, stderr io.Writer) ([]StoreResult, 
 		Updater: core.SGD, BatchCells: 32768, LearningRate: stochLR,
 	}
 
-	start := time.Now()
-	dense, err := core.Fit(x, mask, res.Data.L, core.NMF, cfg)
+	dense, denseWall, err := medianFit(runs, func() (*core.Model, error) {
+		return core.Fit(x, mask, res.Data.L, core.NMF, cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
-	denseWall := float64(time.Since(start).Microseconds()) / 1e3
-	denseObj := dense.Objective[len(dense.Objective)-1]
+	denseObj := finalObjective(dense)
 	rows := []StoreResult{{
 		Rows: n, Cols: cols, MissingRate: missing, Backend: "dense",
 		Epochs: dense.Iters, MsPerEpoch: denseWall / float64(dense.Iters),
@@ -591,25 +628,25 @@ func benchStore(n, k, epochs int, seed int64, stderr io.Writer) ([]StoreResult, 
 
 	for _, frac := range []float64{1.0, 0.5, 0.25} {
 		budget := int64(frac * float64(diskBytes))
-		st, err := store.Open(dir, store.Config{MemBudget: budget})
+		var stats store.Stats
+		m, wall, err := medianFit(runs, func() (*core.Model, error) {
+			st, err := store.Open(dir, store.Config{MemBudget: budget})
+			if err != nil {
+				return nil, err
+			}
+			defer st.Close()
+			m, err := core.FitSource(st, res.Data.L, core.NMF, cfg)
+			stats = st.Stats()
+			return m, err
+		})
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		m, err := core.FitSource(st, res.Data.L, core.NMF, cfg)
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		wall := float64(time.Since(start).Microseconds()) / 1e3
-		obj := m.Objective[len(m.Objective)-1]
+		obj := finalObjective(m)
 		//lint:ignore floatcmp the store sweep's whole point is bit-exact equality with the dense fit
 		if obj != denseObj {
-			st.Close()
 			return nil, fmt.Errorf("store sweep: mmap objective %v != dense %v at budget %d — bit-identity broken", obj, denseObj, budget)
 		}
-		stats := st.Stats()
-		st.Close()
 		row := StoreResult{
 			Rows: n, Cols: cols, MissingRate: missing, Backend: "mmap",
 			BudgetFraction: frac, MemBudgetBytes: budget,

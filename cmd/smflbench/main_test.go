@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/spatialmf/smfl/internal/core"
 )
 
 func TestRunWritesReport(t *testing.T) {
@@ -100,14 +102,16 @@ func TestRunStdoutAndBadFlags(t *testing.T) {
 }
 
 // TestRunStochasticAndStoreSweeps runs the two sweeps behind BENCH_fit.json's
-// stochastic and store blocks at a small size. The report must hold the gd
-// baseline with sgd and svrg at every batch size, and the dense row with an
-// mmap row per memory budget whose objective has the dense row's bits, the
-// check the store sweep itself makes before it writes a row.
+// stochastic and store blocks at a small size, two fits per cell. The report
+// must hold the gd baseline with sgd and svrg at every batch size, and the
+// dense row with an mmap row per memory budget whose objective has the dense
+// row's bits, the check the store sweep itself makes before it writes a row.
+// Each cell's two runs must end on the same objective bits, which the sweeps
+// check before they report a median.
 func TestRunStochasticAndStoreSweeps(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	err := run([]string{
-		"-datasets", "", "-graph-ns", "",
+		"-datasets", "", "-graph-ns", "", "-runs", "2",
 		"-stochastic", "-stoch-n", "2000", "-stoch-epochs", "5", "-store", "-store-n", "2000",
 	}, &stdout, &stderr)
 	if err != nil {
@@ -116,6 +120,9 @@ func TestRunStochasticAndStoreSweeps(t *testing.T) {
 	var rep Report
 	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
 		t.Fatalf("stdout is not valid JSON: %v", err)
+	}
+	if rep.Runs != 2 {
+		t.Fatalf("report records %d runs per cell, want 2", rep.Runs)
 	}
 	updaters := map[string]int{}
 	for _, r := range rep.Stochastic {
@@ -138,5 +145,21 @@ func TestRunStochasticAndStoreSweeps(t *testing.T) {
 		if math.Float64bits(r.FinalObjective) != math.Float64bits(dense.FinalObjective) {
 			t.Fatalf("mmap objective %v at budget %.2f, dense %v", r.FinalObjective, r.BudgetFraction, dense.FinalObjective)
 		}
+	}
+}
+
+// TestMedianFitRefusesDifferentObjectives: a cell whose runs end on
+// different objective bits reports an error, not a median.
+func TestMedianFitRefusesDifferentObjectives(t *testing.T) {
+	obj := 1.0
+	fit := func() (*core.Model, error) {
+		obj = math.Nextafter(obj, 2)
+		return &core.Model{Objective: []float64{obj}}, nil
+	}
+	if _, _, err := medianFit(2, fit); err == nil {
+		t.Fatal("runs ending on different objectives gave a median")
+	}
+	if _, _, err := medianFit(1, fit); err != nil {
+		t.Fatalf("one run: %v", err)
 	}
 }

@@ -375,8 +375,9 @@ type sweep struct {
 	e     *mat.Dense // R_Ω(UV)⊙W as of the last objective pass
 	stale bool       // e does not hold the current factors' product
 
-	ptr  []int   // Ω in CSR form: row i observes the columns
-	cols []int32 // cols[ptr[i]:ptr[i+1]], ascending
+	omega *mat.Mask // Ω; the dense V pass reads its bits
+	ptr   []int     // Ω in CSR form: row i observes the columns
+	cols  []int32   // cols[ptr[i]:ptr[i+1]], ascending
 	// dense selects the loop form at or above mat.DenseCutover: full rows
 	// in Mul's and MulBT's order, exact zeros included. Below it the passes
 	// visit observed cells only, in ProjectMul's and MulBTObserved's order.
@@ -398,7 +399,7 @@ func newSweep(model *Model, in *input, w *mat.Dense, term *graphTerm) *sweep {
 	return &sweep{
 		u: model.U, v: model.V, x: in.x, rx: rx, w: w,
 		e: mat.NewDense(n, m), stale: true,
-		ptr: ptr, cols: cols,
+		omega: in.omega, ptr: ptr, cols: cols,
 		dense:    in.omega.Density() >= mat.DenseCutover,
 		startCol: model.startCol(),
 		term:     term,
@@ -517,6 +518,21 @@ func (s *sweep) vPass(update func(lo, hi int, num, den []float64)) {
 		for i := 0; i < n; i++ {
 			ui := ud[i*k : i*k+k]
 			xi := rx[i*m+lo : i*m+hi]
+			if s.dense {
+				// Mul's product, weighted and projected onto Ω by the
+				// mask's bits; the sums run over every column and skip
+				// zero coefficients, as the full-row UᵀB does.
+				ei := p[lo:hi]
+				mat.RowMul(ei, ui, vd, m, lo)
+				if wd != nil {
+					for t, w := range wd[i*m+lo : i*m+hi] {
+						ei[t] *= w
+					}
+				}
+				s.omega.KeepObserved(ei, i, lo)
+				mat.AccumPairs(num, den, ui, xi, ei)
+				continue
+			}
 			js := s.cols[s.ptr[i]:s.ptr[i+1]]
 			for len(js) > 0 && int(js[0]) < lo {
 				js = js[1:]
@@ -526,26 +542,6 @@ func (s *sweep) vPass(update func(lo, hi int, num, den []float64)) {
 				c++
 			}
 			js = js[:c]
-			if s.dense {
-				// Mul's product, projected onto Ω and weighted; the sums
-				// run over every column and skip zero coefficients, as the
-				// full-row UᵀB does.
-				ei := p[lo:hi]
-				mat.RowMul(ei, ui, vd, m, lo)
-				c = 0
-				for t := range ei {
-					if c < len(js) && int(js[c]) == lo+t {
-						if wd != nil {
-							ei[t] *= wd[i*m+lo+t]
-						}
-						c++
-					} else {
-						ei[t] = 0
-					}
-				}
-				mat.AccumPairs(num, den, ui, xi, ei)
-				continue
-			}
 			// ProjectMul's product on the observed columns, weighted; the
 			// sums skip exact-zero data and products, as a walk over the
 			// nonzero entries of an Ω-supported matrix does.

@@ -19,7 +19,7 @@ import (
 // diverges there — see cmd/smflbench's gdLRGrid); SGD runs at the family
 // default. Wall-clock assertions are inherently machine-sensitive, and the
 // 3× bar sits close to what is measured now that full-sweep GD runs on the
-// three-pass sweep: BENCH_fit.json's 20k-row sweep reads 2.5–5.1× for sgd
+// three-pass sweep: BENCH_fit.json's 20k-row sweep reads 2.5–6.8× for sgd
 // and svrg at one worker, and this test 2.4–4.0× on a 2-vCPU host. Gated
 // behind SMFL_LARGE=1 so the tier-1 -race suite stays fast.
 func TestLargeNStochasticSpeedup(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/spatialmf/smfl/internal/dataset"
 	"github.com/spatialmf/smfl/internal/faultinject"
 	"github.com/spatialmf/smfl/internal/mat"
 	"github.com/spatialmf/smfl/internal/spatial"
@@ -202,6 +203,12 @@ func refMaskedWeightedFrob2Mul(omega *mat.Mask, x, u, v, w *mat.Dense) float64 {
 func sweepInput(t *testing.T, n int, density float64, seed int64) (*input, int) {
 	t.Helper()
 	x, _, l := testProblem(t, n, seed)
+	return maskedInput(x, density, seed), l
+}
+
+// maskedInput builds a dense fit input over x with a mask of the given
+// density, drawn from seed.
+func maskedInput(x *mat.Dense, density float64, seed int64) *input {
 	rows, cols := x.Dims()
 	rng := rand.New(rand.NewSource(seed))
 	omega := mat.NewMask(rows, cols)
@@ -212,7 +219,7 @@ func sweepInput(t *testing.T, n int, density float64, seed int64) (*input, int) 
 			}
 		}
 	}
-	return &input{src: mat.NewDenseSource(x, omega), x: x, rx: omega.Project(nil, x), omega: omega}, l
+	return &input{src: mat.NewDenseSource(x, omega), x: x, rx: omega.Project(nil, x), omega: omega}
 }
 
 // sweepStart builds the model and graph fit() would start training from.
@@ -300,11 +307,32 @@ func forEachWidth(t *testing.T, fn func(t *testing.T)) {
 // standalone-kernel reference from the same start for 15 iterations over
 // methods, mask densities on both sides of DenseCutover, weights and both
 // full-sweep updaters. gd with weights is a runner-level case only (Fit
-// refuses it): both sides ignore the weights.
+// refuses it): both sides ignore the weights. A 70-column table puts the
+// dense V pass's chunks across more than one 64-bit word of the mask.
 func TestSweepBitIdentical(t *testing.T) {
+	wide, err := dataset.Generate(dataset.Spec{
+		Name: "wide", N: 70, M: 70, L: 2, Latents: 3, Bumps: 4, Clusters: 4, Noise: 0.02, Seed: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wide.Data.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	type table struct {
+		prefix string
+		in     *input
+		l      int
+	}
+	var tables []table
+	for _, density := range []float64{0.93, 0.5, 0.1} {
+		in, l := sweepInput(t, 70, density, 4)
+		tables = append(tables, table{"", in, l})
+	}
+	tables = append(tables, table{"70cols/", maskedInput(wide.Data.X, 0.93, 4), wide.Data.L})
 	forEachWidth(t, func(t *testing.T) {
-		for _, density := range []float64{0.93, 0.5, 0.1} {
-			in, l := sweepInput(t, 70, density, 4)
+		for _, tb := range tables {
+			in, l := tb.in, tb.l
 			n, m := in.x.Dims()
 			weights := mat.RandomUniform(rand.New(rand.NewSource(5)), n, m, 0.5, 1.5)
 			for _, method := range []Method{NMF, SMF, SMFL} {
@@ -312,7 +340,7 @@ func TestSweepBitIdentical(t *testing.T) {
 					for _, w := range []*mat.Dense{nil, weights} {
 						cfg := Config{K: 5, Lambda: 0.1, P: 3, MaxIter: 15, Tol: 1e-300, Seed: 3,
 							Updater: up, LearningRate: 0.02, Weights: w}.withDefaults()
-						name := fmt.Sprintf("%.2f/%s/%s/weighted=%v", in.omega.Density(), method, up, w != nil)
+						name := fmt.Sprintf("%s%.2f/%s/%s/weighted=%v", tb.prefix, in.omega.Density(), method, up, w != nil)
 						t.Run(name, func(t *testing.T) { runBoth(t, in, l, method, cfg, nil) })
 					}
 				}
@@ -528,7 +556,7 @@ func sweepFor(u, v, x, w *mat.Dense, omega *mat.Mask, c0 int, dense bool) *sweep
 		rx = mat.Hadamard(nil, rx, w)
 	}
 	ptr, cols := omega.RowIndex()
-	return &sweep{u: u, v: v, x: x, rx: rx, w: w, e: mat.NewDense(n, m), ptr: ptr, cols: cols, dense: dense, startCol: c0}
+	return &sweep{u: u, v: v, x: x, rx: rx, w: w, e: mat.NewDense(n, m), omega: omega, ptr: ptr, cols: cols, dense: dense, startCol: c0}
 }
 
 // TestVPassMaskedMatchesDense checks both loop forms of the V pass against

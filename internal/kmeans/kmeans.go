@@ -61,36 +61,68 @@ func Run(x *mat.Dense, cfg Config) (*Result, error) {
 	return best, nil
 }
 
+// slack is the relative margin of runOnce's skip test. It dwarfs the
+// rounding that the bounds and the distances behind them collect, a few
+// units in the last place per operation over dim terms and up to millions
+// of updates, so while squared distances stay above the subnormal range no
+// point is skipped that Lloyd's scan would move.
+const slack = 1e-9
+
 // runOnce is one Lloyd run from a k-means++ start. It reads the points and
 // centers from their flat row-major data: row i of x is xd[i·dim:(i+1)·dim].
+//
+// Hamerly's bounds (Hamerly, "Making k-means even faster", SDM 2010) let it
+// skip the points that provably keep their label, with Lloyd's answer:
+// upper[i] ≥ d(x_i, c_label) and lower[i] ≤ d(x_i, c_j) for every other
+// center j. A point whose upper bound is below both its lower bound and half
+// the gap from its center to the nearest other center has a unique nearest
+// center, its own, so Lloyd's strict first-minimum scan would keep it there.
+// Every other point gets that scan. An exact tie makes lower ≤ upper and is
+// never skipped, and NaN bounds fail the test. Centers are recomputed from
+// the labels in row order, as Lloyd does, so labels, centers, Iters and the
+// reseeds' rng draws are Lloyd's, and Cost is Lloyd's last assignment sum.
 func runOnce(x *mat.Dense, n, dim, k, maxIter int, rng *rand.Rand) *Result {
 	centers := seedPlusPlus(x, n, dim, k, rng)
 	xd, cd := x.Data(), centers.Data()
 	labels := make([]int, n)
 	counts := make([]int, k)
-	var cost float64
+	upper, lower := make([]float64, n), make([]float64, n)
+	for i := range upper {
+		upper[i] = math.Inf(1) // the first pass scans every point
+	}
+	prev := make([]float64, k*dim) // the centers the last assignment read
+	half := make([]float64, k)     // half the gap to the nearest other center
+	move := make([]float64, k)     // each center's last movement
+	drop := make([]float64, k)     // the largest movement of any other center
 	iters := 0
 	for ; iters < maxIter; iters++ {
+		halfGaps(half, cd, k, dim)
 		changed := false
-		cost = 0
 		for i := 0; i < n; i++ {
+			a := labels[i]
+			if upper[i]*(1+slack) < max(lower[i], half[a])*(1-slack) {
+				continue
+			}
 			xi := xd[i*dim : i*dim+dim]
-			bestJ, bestD := 0, math.Inf(1)
+			bestJ, bestD, second := 0, math.Inf(1), math.Inf(1)
 			for j := 0; j < k; j++ {
 				d := sqDist(xi, cd[j*dim:j*dim+dim])
 				if d < bestD {
-					bestD, bestJ = d, j
+					second, bestD, bestJ = bestD, d, j
+				} else if d < second {
+					second = d
 				}
 			}
-			if labels[i] != bestJ {
+			upper[i], lower[i] = math.Sqrt(bestD), math.Sqrt(second)
+			if a != bestJ {
 				labels[i] = bestJ
 				changed = true
 			}
-			cost += bestD
 		}
 		if !changed && iters > 0 {
 			break
 		}
+		copy(prev, cd)
 		// Recompute centers: each sums its points in ascending row order.
 		clear(cd)
 		clear(counts)
@@ -114,8 +146,68 @@ func runOnce(x *mat.Dense, n, dim, k, maxIter int, rng *rand.Rand) *Result {
 				c[d] *= inv
 			}
 		}
+		movements(move, drop, prev, cd, dim)
+		// The lower bound shrinks by a relative margin as well, so that
+		// rounding in a long chain of subtractions cannot leave it above
+		// the true distance.
+		for i, a := range labels {
+			upper[i] += move[a]
+			lower[i] = lower[i]*(1-slack) - drop[a]
+		}
+	}
+	// Lloyd's cost is the sum of its last assignment's nearest distances,
+	// in row order, against the centers that assignment read: the
+	// converged centers, or the pre-update ones when the cap stopped it.
+	read := cd
+	if iters == maxIter {
+		read = prev
+	}
+	var cost float64
+	for i, j := range labels {
+		cost += sqDist(xd[i*dim:i*dim+dim], read[j*dim:j*dim+dim])
 	}
 	return &Result{Centers: centers, Labels: labels, Cost: cost, Iters: iters}
+}
+
+// halfGaps stores into half[a] half the distance from center a to its
+// nearest other center, +Inf when k = 1.
+func halfGaps(half, cd []float64, k, dim int) {
+	for a := range half {
+		half[a] = math.Inf(1)
+	}
+	for a := 0; a < k; a++ {
+		ca := cd[a*dim : a*dim+dim]
+		for j := a + 1; j < k; j++ {
+			g := math.Sqrt(sqDist(ca, cd[j*dim:j*dim+dim])) / 2
+			half[a] = min(half[a], g)
+			half[j] = min(half[j], g)
+		}
+	}
+}
+
+// movements stores each center's movement d(prev_j, cd_j), grown by the skip
+// test's margin, into move[j], and the largest movement of any other center
+// into drop[j]. A NaN movement (a center that overflowed) counts as +Inf.
+func movements(move, drop, prev, cd []float64, dim int) {
+	top := 0
+	for j := range move {
+		m := math.Sqrt(sqDist(prev[j*dim:j*dim+dim], cd[j*dim:j*dim+dim])) * (1 + slack)
+		if math.IsNaN(m) {
+			m = math.Inf(1)
+		}
+		move[j] = m
+		if m > move[top] {
+			top = j
+		}
+	}
+	var next float64
+	for j, m := range move {
+		drop[j] = move[top]
+		if j != top {
+			next = max(next, m)
+		}
+	}
+	drop[top] = next
 }
 
 // seedPlusPlus picks initial centers with the k-means++ D² distribution.

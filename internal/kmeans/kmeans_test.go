@@ -1,10 +1,12 @@
 package kmeans
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"github.com/spatialmf/smfl/internal/dataset"
 	"github.com/spatialmf/smfl/internal/mat"
 )
 
@@ -272,6 +274,94 @@ func refRunOnce(x *mat.Dense, n, k, maxIter int, rng *rand.Rand) *Result {
 	return &Result{Centers: centers, Labels: labels, Cost: cost, Iters: iters}
 }
 
+// vehicleSI returns the two SI columns of a 10,000-row Vehicle table,
+// min-max normalized as a fit sees them: the landmark clustering's input.
+func vehicleSI(tb testing.TB) *mat.Dense {
+	tb.Helper()
+	res, err := dataset.Vehicle(0.1, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n, _ := res.Data.Dims()
+	si := res.Data.X.Slice(0, n, 0, 2).Clone()
+	nz, err := dataset.FitNormalizer(si, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	nz.Apply(si)
+	return si
+}
+
+// grid returns every point of the integer lattice {0, …, side−1}^dim, each
+// reps times: centers and points meet at exact ties.
+func grid(side, dim, reps int) *mat.Dense {
+	n := reps
+	for d := 0; d < dim; d++ {
+		n *= side
+	}
+	x := mat.NewDense(n, dim)
+	for i := 0; i < n; i++ {
+		c := i / reps
+		for d := 0; d < dim; d++ {
+			x.Set(i, d, float64(c%side))
+			c /= side
+		}
+	}
+	return x
+}
+
+// midway returns 1-D points whose clusters {0, 1, 0, 1, …, 5} and {8, 10, …}
+// have means 1 and 9. When the loop settles with 5 in the lower-index
+// cluster, 5 lies exactly midway between the two means on every later pass.
+func midway() *mat.Dense {
+	var v []float64
+	for i := 0; i < 4; i++ {
+		v = append(v, 0, 1, 8, 10)
+	}
+	v = append(v, 5)
+	x := mat.NewDense(len(v), 1)
+	copy(x.Data(), v)
+	return x
+}
+
+// laterTies counts the point-iterations after the first at which the row
+// loop meets an exact tie for the nearest center, over at most maxIter
+// iterations: the inputs on which a bound that skipped a tied point would
+// change a label.
+func laterTies(x *mat.Dense, k, maxIter int, seed int64) int {
+	n, _ := x.Dims()
+	var ties int
+	for it := 1; it < maxIter; it++ {
+		// The centers after it updates are the ones pass it reads.
+		res := refRunOnce(x, n, k, it, rand.New(rand.NewSource(seed)))
+		if res.Iters < it {
+			break
+		}
+		for i := 0; i < n; i++ {
+			best, count := math.Inf(1), 0
+			for j := 0; j < k; j++ {
+				switch d := sqDist(x.Row(i), res.Centers.Row(j)); {
+				case d < best:
+					best, count = d, 1
+				case d == best:
+					count++
+				}
+			}
+			if count > 1 {
+				ties++
+			}
+		}
+	}
+	return ties
+}
+
+// TestRunOnceMatchesRowLoop holds runOnce, which skips points by Hamerly's
+// bounds, to the row loop's labels, centers, cost and iteration count,
+// Float64bits-equal. The inputs are the ones bounds get wrong: exact ties
+// (integer lattices, a point midway between two centers), reseeded empty
+// clusters (duplicates with K above the distinct count), 1-D and 13-D data,
+// K = 1 and K = N, caps of 1–3 iterations (the cost then reads the centers
+// before the last update) and the landmark clustering's own input.
 func TestRunOnceMatchesRowLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	blobs, _ := threeBlobs(rng, 200)
@@ -282,20 +372,53 @@ func TestRunOnceMatchesRowLoop(t *testing.T) {
 			few.Set(i, d, float64((i%6)*(d+1)))
 		}
 	}
-	cases := []struct {
-		name string
-		x    *mat.Dense
-		k    int
-	}{
-		{"blobs", blobs, 10},
-		{"uniform", mat.RandomUniform(rng, 2000, 2, 0, 1), 10},
-		{"few-distinct", few, 10},
+	small := mat.RandomUniform(rng, 40, 3, 0, 1)
+	type tc struct {
+		name    string
+		x       *mat.Dense
+		k       int
+		maxIter int
+		ties    bool // the row loop meets exact ties after its first pass
+	}
+	cases := []tc{
+		{"blobs", blobs, 10, DefaultMaxIter, false},
+		{"uniform", mat.RandomUniform(rng, 2000, 2, 0, 1), 10, DefaultMaxIter, false},
+		{"few-distinct", few, 10, DefaultMaxIter, false},
+		{"lattice-1d", grid(16, 1, 2), 9, DefaultMaxIter, true},
+		{"lattice-2d", grid(4, 2, 2), 5, DefaultMaxIter, true},
+		{"lattice-2d-wide", grid(16, 2, 2), 4, DefaultMaxIter, true},
+		{"lattice-3d", grid(4, 3, 1), 8, DefaultMaxIter, true},
+		{"midway", midway(), 2, DefaultMaxIter, true},
+		{"1d", mat.RandomNormal(rng, 500, 1, 0, 1), 6, DefaultMaxIter, false},
+		{"13d", mat.RandomNormal(rng, 500, 13, 0, 1), 8, DefaultMaxIter, false},
+		{"k1", small, 1, DefaultMaxIter, false},
+		{"k-equals-n", small, 40, DefaultMaxIter, false},
+		{"vehicle-si", vehicleSI(t), 10, DefaultMaxIter, false},
+	}
+	// Tiny integer lattices: their exact ties land on higher-index labels
+	// with bounds that are exact too, so a skip test without its margin, or
+	// one that skips on upper = lower, moves a label here.
+	tiny := rand.New(rand.NewSource(75))
+	for trial := 0; trial < 400; trial++ {
+		n, dim := 6+tiny.Intn(30), 1+tiny.Intn(2)
+		x := mat.NewDense(n, dim)
+		side := 2 + tiny.Intn(8)
+		for i := range x.Data() {
+			x.Data()[i] = float64(tiny.Intn(side))
+		}
+		cases = append(cases, tc{fmt.Sprintf("tiny-lattice-%d", trial), x, 2 + tiny.Intn(4), DefaultMaxIter, false})
+	}
+	for it := 1; it <= 3; it++ {
+		cases = append(cases,
+			tc{fmt.Sprintf("blobs-cap%d", it), blobs, 10, it, false},
+			tc{fmt.Sprintf("lattice-cap%d", it), grid(4, 2, 2), 6, it, false},
+			tc{fmt.Sprintf("few-distinct-cap%d", it), few, 10, it, false})
 	}
 	for _, tc := range cases {
 		for seed := int64(1); seed <= 3; seed++ {
 			n, dim := tc.x.Dims()
-			want := refRunOnce(tc.x, n, tc.k, DefaultMaxIter, rand.New(rand.NewSource(seed)))
-			got := runOnce(tc.x, n, dim, tc.k, DefaultMaxIter, rand.New(rand.NewSource(seed)))
+			want := refRunOnce(tc.x, n, tc.k, tc.maxIter, rand.New(rand.NewSource(seed)))
+			got := runOnce(tc.x, n, dim, tc.k, tc.maxIter, rand.New(rand.NewSource(seed)))
 			if got.Iters != want.Iters {
 				t.Fatalf("%s seed %d: %d iterations, row loop %d", tc.name, seed, got.Iters, want.Iters)
 			}
@@ -314,5 +437,27 @@ func TestRunOnceMatchesRowLoop(t *testing.T) {
 				}
 			}
 		}
+		if tc.ties {
+			var ties int
+			for seed := int64(1); seed <= 3; seed++ {
+				ties += laterTies(tc.x, tc.k, 30, seed)
+			}
+			if ties == 0 {
+				t.Fatalf("%s: the row loop meets no tie after its first pass, so the case tests nothing", tc.name)
+			}
+		}
 	}
 }
+
+// BenchmarkRunOnce times one Lloyd run at the landmark clustering's shape:
+// the Vehicle SI of a 10,000-row table, K = 10.
+func BenchmarkRunOnce(b *testing.B) {
+	si := vehicleSI(b)
+	n, dim := si.Dims()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchResult = runOnce(si, n, dim, 10, DefaultMaxIter, rand.New(rand.NewSource(1)))
+	}
+}
+
+var benchResult *Result

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -204,6 +205,27 @@ func (m *Mask) Project(dst, x *Dense) *Dense {
 		}
 	})
 	return dst
+}
+
+// KeepObserved projects part of row i onto Ω in place: it stores +0 into
+// p[t] unless (i, lo+t) ∈ Ω and leaves the observed entries' bits as they
+// are, NaN and ±Inf included. It reads the row's bits straight from the
+// bitset, 64 columns per word, and masks each entry's bits with no branch
+// per cell.
+func (m *Mask) KeepObserved(p []float64, i, lo int) {
+	if i < 0 || i >= m.rows || lo < 0 || len(p) > m.cols-lo {
+		panic(fmt.Sprintf("mat: KeepObserved row %d columns [%d, %d) out of range %dx%d", i, lo, lo+len(p), m.rows, m.cols))
+	}
+	k := uint(i*m.cols + lo) // the bit of (i, lo)
+	for len(p) > 0 {
+		w := m.words[k>>6] >> (k & 63)
+		n := min(len(p), int(64-k&63))
+		for t, v := range p[:n] {
+			p[t] = math.Float64frombits(math.Float64bits(v) & -(w & 1))
+			w >>= 1
+		}
+		p, k = p[n:], k+uint(n)
+	}
 }
 
 // Recover implements Formula 8 of the paper:

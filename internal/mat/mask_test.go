@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -224,5 +225,50 @@ func TestRecoverIntoMatchesCellwise(t *testing.T) {
 				t.Fatalf("%dx%d p=%v: RecoverInto differs from the cellwise Formula 8", r, c, p)
 			}
 		}
+	}
+}
+
+// TestKeepObservedMatchesObserved checks KeepObserved against Observed cell
+// by cell: every span [lo, lo+w) of every row, for row widths on both sides
+// of a 64-bit word, so that spans start mid-word, straddle two words and end
+// at the mask's last bit. Observed entries keep their bits, NaN, ±Inf, −0
+// and subnormals included; every other entry becomes +0.
+func TestKeepObservedMatchesObserved(t *testing.T) {
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		5e-324, -2.2e-310, 1.5, -3.25}
+	rng := rand.New(rand.NewSource(31))
+	for _, cols := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 63, 64, 65, 130} {
+		m := randomMask(rng, 5, cols, 0.6)
+		for i := 0; i < 5; i++ {
+			for lo := 0; lo < cols; lo++ {
+				for w := 1; lo+w <= cols; w++ {
+					p := make([]float64, w)
+					for c := range p {
+						p[c] = specials[(i+lo+c)%len(specials)]
+					}
+					m.KeepObserved(p, i, lo)
+					for c, v := range p {
+						want := uint64(0)
+						if m.Observed(i, lo+c) {
+							want = math.Float64bits(specials[(i+lo+c)%len(specials)])
+						}
+						if got := math.Float64bits(v); got != want {
+							t.Fatalf("%d cols, row %d, [%d, %d): entry %d has bits %#x, want %#x", cols, i, lo, lo+w, c, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	m := NewMask(3, 4)
+	for _, bad := range []struct{ i, lo, w int }{{3, 0, 1}, {-1, 0, 1}, {0, -1, 1}, {0, 2, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("KeepObserved(row %d, lo %d, width %d) on a 3x4 mask did not panic", bad.i, bad.lo, bad.w)
+				}
+			}()
+			m.KeepObserved(make([]float64, bad.w), bad.i, bad.lo)
+		}()
 	}
 }
